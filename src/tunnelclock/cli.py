@@ -204,12 +204,13 @@ def _scenario_wavefunction(cfg, out):
     x_max = _default(cfg, "x_max")
     n_x = _default(cfg, "n_x")
     xi = np.linspace(0.0, x_max, n_x)
-    values = sfa.psi_position(params, xi, xi_abs_max=max(6.0, x_max + 0.5))
+    transform = sfa._converged_transform(params, max(6.0, x_max + 0.5))
+    values = transform.psi(xi)
     rows = [[params.x0 * x, v.real, v.imag] for x, v in zip(xi, values)]
     _write_outputs(out, ["x", "re_psi", "im_psi"], rows,
                    {"scenario": "wavefunction", "model": _model_sidecar(params),
                     "config": cfg, "version": __version__,
-                    "tolerances": {"transform_rel_tol": 1e-7}})
+                    "transform": transform.summary()})
 
 
 def _scenario_husimi(cfg, out):
@@ -229,10 +230,10 @@ def _scenario_husimi(cfg, out):
     n_p = _default(cfg, "n_p")
     pad = 6.5 * width / params.x0
     xi_dense = np.linspace(-pad, x_max + pad, 4001)
-    values = sfa.psi_position(params, xi_dense,
-                              xi_abs_max=float(np.abs(xi_dense).max()) + 0.1)
-    psi = sfa.ComplexGrid1D(coordinate_kind="position_xi",
-                            coordinates=xi_dense, values=values, params=params)
+    transform = sfa._converged_transform(
+        params, float(np.abs(xi_dense).max()) + 0.1)
+    psi = sfa.ComplexGrid1D(coordinate_kind="position_xi", coordinates=xi_dense,
+                            values=transform.psi(xi_dense), params=params)
     x_grid = np.linspace(0.0, x_max * params.x0, n_x)
     p_grid = np.linspace(0.0, p_max, n_p)
     hg = husimi_mod.husimi_grid(psi, x_grid, p_grid, width)
@@ -242,7 +243,7 @@ def _scenario_husimi(cfg, out):
                    {"scenario": "husimi", "model": _model_sidecar(params),
                     "config": cfg, "version": __version__,
                     "width": width,
-                    "tolerances": {"transform_rel_tol": 1e-7}})
+                    "transform": transform.summary()})
 
 
 def _scenario_larmor(cfg, out):
@@ -256,7 +257,7 @@ def _scenario_larmor(cfg, out):
                    {"scenario": "larmor", "model": _model_sidecar(params),
                     "config": cfg, "version": __version__,
                     "plateau_re_tau": larmor_mod.plateau_time(params).real,
-                    "tolerances": {"transform_rel_tol": 1e-7}})
+                    "transform": sfa._converged_transform(params, 6.0).summary()})
 
 
 def _scenario_attoclock(cfg, out):

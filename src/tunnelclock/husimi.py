@@ -61,7 +61,12 @@ def husimi_point(psi: ComplexGrid1D, x: float, p: float, width: float) -> float:
 
 
 def husimi_grid(psi: ComplexGrid1D, x_grid, p_grid, width: float) -> PhaseSpaceGrid:
-    """Vectorized |H| over a rectangular (x, p) grid."""
+    """|H| over a rectangular (x, p) grid as one matrix product.
+
+    H = W @ F with the Gaussian windows W[i, j] = g(x'_j - x_i) and
+    F[j, m] = w_j psi(x'_j) e^{-i p_m x'_j}, w the trapezoid weights of the
+    psi grid: the same sum husimi_point takes cell by cell.
+    """
     x_grid = np.asarray(x_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
     if x_grid.size == 0 or p_grid.size == 0:
@@ -72,14 +77,16 @@ def husimi_grid(psi: ComplexGrid1D, x_grid, p_grid, width: float) -> PhaseSpaceG
     _check_coverage(xs, float(x_grid.min()), width)
     _check_coverage(xs, float(x_grid.max()), width)
     norm = (1.0 / (np.pi * width * width)) ** 0.25
-    # f_p(x') = e^{-i p x'} psi(x'); Gaussian windows applied per x row.
-    phase = np.exp(-1j * np.outer(p_grid, xs)) * psi.values[None, :]  # (n_p, n_x')
-    mag = np.empty((x_grid.size, p_grid.size))
-    for i, x in enumerate(x_grid):
-        window = norm * np.exp(-((xs - x) ** 2) / (2.0 * width * width))
-        mag[i] = np.abs(np.trapezoid(phase * window[None, :], xs, axis=1))
+    windows = norm * np.exp(-((xs[None, :] - x_grid[:, None]) ** 2)
+                            / (2.0 * width * width))  # (n_x, n_x')
+    steps = np.diff(xs)
+    trapezoid = np.zeros_like(xs)
+    trapezoid[:-1] += 0.5 * steps
+    trapezoid[1:] += 0.5 * steps
+    waves = (trapezoid * psi.values)[:, None] \
+        * np.exp(-1j * np.outer(xs, p_grid))  # (n_x', n_p)
     return PhaseSpaceGrid(x_values=x_grid, p_values=p_grid,
-                          magnitude=mag, width=width)
+                          magnitude=np.abs(windows @ waves), width=width)
 
 
 def ridge_momenta(grid: PhaseSpaceGrid) -> np.ndarray:

@@ -99,3 +99,16 @@ def test_entry_point_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "scenario" in proc.stdout or "usage" in proc.stdout.lower()
+
+
+@pytest.mark.parametrize("scenario", ["wavefunction", "husimi", "larmor"])
+def test_transform_sidecar_records_certified_window(tmp_path, scenario):
+    out = tmp_path / "t.csv"
+    assert run_cli([scenario, "--kappa", "3", "--n-x", "17",
+                    "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "t.json").read_text())
+    assert "tolerances" not in side
+    transform = side["transform"]
+    assert set(transform) == {"u_max", "nodes", "achieved_change", "rel_tol"}
+    assert transform["nodes"] > 0 and transform["u_max"] >= 6.0
+    assert 0.0 <= transform["achieved_change"] < transform["rel_tol"] == 1e-7

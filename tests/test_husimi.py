@@ -116,3 +116,18 @@ def test_ridge_monotone_approach_to_classical():
     dev = np.abs(ridge - classical)
     assert dev[-1] < dev[0]
     assert dev.max() == dev[0]
+
+
+def test_grid_matches_point_on_nonuniform_grid():
+    """The one-product grid equals the cell-by-cell trapezoid sum."""
+    width = 1.0 / math.sqrt(PARAMS.kappa_tilde)
+    rng = np.random.default_rng(3)
+    xi = np.sort(np.concatenate([[-2.6, 5.8], rng.uniform(-2.6, 5.8, 2000)]))
+    values = sfa.psi_position(PARAMS, xi, xi_abs_max=5.9)
+    grid = _position_grid(xi, values)
+    x_grid = np.linspace(1.0, 2.2, 7) * PARAMS.x0
+    p_grid = np.linspace(0.0, 2.5, 11)
+    hg = husimi.husimi_grid(grid, x_grid, p_grid, width)
+    for i, j in zip(rng.integers(0, 7, 12), rng.integers(0, 11, 12)):
+        point = husimi.husimi_point(grid, x_grid[i], p_grid[j], width)
+        assert hg.magnitude[i, j] == pytest.approx(point, rel=1e-12)

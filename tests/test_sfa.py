@@ -147,3 +147,67 @@ def test_bound_overlap_odd_and_decaying():
     mags = [abs(complex(sfa.bound_overlap(PARAMS, u))) for u in (1.0, 3.0, 9.0)]
     assert mags[0] > mags[1] > mags[2]
     assert mags[2] <= mags[1] * (3.0 / 9.0) ** 3 * 1.5
+
+
+@pytest.mark.parametrize("kappa", [2.6, 4.0, 8.0])
+def test_i_infinity_imaginary_and_window_independent(kappa):
+    """I(inf) = -i * integral g sin(kappa phi) is imaginary and U-free."""
+    p = params_from_kappa(HELIUM_IP, kappa)
+    narrow = sfa.PositionTransform(p, u_max=6.0).i_infinity
+    wide = sfa.PositionTransform(p, u_max=48.0).i_infinity
+    for value in (narrow, wide):
+        assert abs(value.real) <= 1e-14 * abs(value)
+    assert abs(narrow - wide) <= 1e-9 * abs(wide)
+
+
+@pytest.mark.parametrize("kappa", [3.0, 5.0, 10.0])
+def test_window_12_agrees_with_window_48(kappa):
+    p = params_from_kappa(HELIUM_IP, kappa)
+    probe = np.linspace(-4.0, 4.0, 9)
+    narrow = sfa.PositionTransform(p, u_max=12.0).psi(probe)
+    wide = sfa.PositionTransform(p, u_max=48.0).psi(probe)
+    assert np.max(np.abs(narrow - wide)) <= 1e-7 * np.max(np.abs(wide))
+
+
+@pytest.mark.parametrize("kappa", [2.6, 10.0])
+def test_certified_transform_is_narrower_of_passing_pair(kappa):
+    """The returned window is the one its doubling confirmed, and it is small."""
+    p = params_from_kappa(HELIUM_IP, kappa)
+    transform = sfa._converged_transform(p, 6.0)
+    assert len(transform.nodes) <= 20_000
+    probe = np.linspace(-4.0, 4.0, 9)
+    ref = transform.psi(probe)
+    wider = sfa.PositionTransform(p, u_max=2.0 * transform.u_max).psi(probe)
+    change = np.max(np.abs(wider - ref)) / np.max(np.abs(ref))
+    assert change == pytest.approx(transform.achieved_change, rel=1e-6)
+    assert transform.achieved_change < transform.rel_tol == 1e-7
+    assert transform.summary() == {
+        "u_max": transform.u_max, "nodes": len(transform.nodes),
+        "achieved_change": transform.achieved_change, "rel_tol": 1e-7}
+
+
+def test_psi_scattered_equals_uniform_grid_values():
+    """Scattered and uniform xi go through the same sum."""
+    transform = sfa._converged_transform(PARAMS, 6.0)
+    xi_uniform = np.linspace(-0.5, 2.5, 97)
+    pick = np.sort(np.random.default_rng(5).choice(97, 23, replace=False))
+    dense = transform.psi(xi_uniform)
+    sparse = transform.psi(xi_uniform[pick])
+    scale = np.abs(dense).max()
+    assert np.max(np.abs(sparse - dense[pick])) <= 1e-13 * scale
+    assert abs(transform.psi(xi_uniform[7]) - dense[7]) <= 1e-13 * scale
+
+
+def test_wide_xi_window_holds_stationary_points():
+    """For large |xi| the window grows to hold +-sqrt(xi - 1); no overflow."""
+    p = params_from_kappa(HELIUM_IP, 10.0)
+    with pytest.raises(DomainError):
+        sfa.PositionTransform(p, u_max=6.0, xi_abs_max=100.0)
+    transform = sfa._converged_transform(p, 100.0)
+    assert transform.u_max ** 2 + 1.0 >= 100.0
+    xi = np.linspace(-100.0, 100.0, 41)
+    with np.errstate(over="raise", invalid="raise"):
+        got = transform.psi(xi)
+    ref = sfa.PositionTransform(p, u_max=2.0 * transform.u_max,
+                                xi_abs_max=100.0).psi(xi)
+    assert np.max(np.abs(got - ref)) <= 1e-7 * np.max(np.abs(ref))
