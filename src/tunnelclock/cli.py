@@ -296,11 +296,11 @@ def _scenario_variational(cfg, out):
 
 
 def _scenario_ppt(cfg, out):
-    ip = cfg.get("ip") or _DEFAULTS["ip"]
-    cfg["ip"] = ip
+    ip = _default(cfg, "ip")
     omega = _default(cfg, "omega")
     gamma = _default(cfg, "gamma")
     envelope = _default(cfg, "envelope")
+    pulse = ppt_mod.pulse_from_gamma(ip, omega, gamma, envelope)
     p_min = _default(cfg, "p_min")
     p_max = cfg.get("p_max")
     if p_max is None:
@@ -308,7 +308,6 @@ def _scenario_ppt(cfg, out):
         cfg["p_max"] = p_max
     n_p = _default(cfg, "n_p")
     n_theta = _default(cfg, "n_theta")
-    pulse = ppt_mod.pulse_from_gamma(ip, omega, gamma, envelope)
     p_grid = np.linspace(p_min, p_max, n_p)
     theta_grid = np.linspace(-math.pi, math.pi, n_theta)
     grid = ppt_mod.spectrum(pulse, p_grid, theta_grid)
@@ -324,8 +323,10 @@ def _scenario_ppt(cfg, out):
                     "diagnostics": {
                         "unconverged_nodes": int(grid.flags.sum()),
                         "max_saddle_residual": float(
-                            grid.saddle_residuals[~grid.flags].max())},
-                    "tolerances": {"newton_tol": 1e-14}})
+                            grid.saddle_residuals[~grid.flags].max()),
+                        "newton_sweeps": grid.newton_sweeps,
+                        "node_iterations": grid.node_iterations,
+                        "out_of_pulse_nodes": grid.out_of_pulse_nodes}})
 
 
 def _scenario_scattering(cfg, out):

@@ -14,6 +14,7 @@ super-exponentially and a short finite segment suffices.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -91,7 +92,7 @@ def integrate_finite(f: Callable, a: float, b: float,
     """Globally adaptive G7/K15 integration of a complex integrand on [a, b].
 
     The interval with the largest error estimate is bisected until the summed
-    estimate falls below tol + rel_tol*|value|.
+    estimate falls below max(tol, rel_tol*|value|).
     """
     if not (a <= b):
         raise DomainError(f"integrate_finite requires a <= b, got ({a}, {b})")
@@ -101,26 +102,33 @@ def integrate_finite(f: Callable, a: float, b: float,
         return QuadResult(value=0j, abs_error_estimate=0.0, evaluations=0)
 
     val, err = _gk15(f, a, b)
-    segments = [(err, a, b, val)]
+    # Max-heap on the error estimate; the insertion count breaks ties in
+    # favour of the newest segment.  The running totals drift by rounding,
+    # so a stop they allow is confirmed by an exact re-sum.
+    heap = [(-err, 0, a, b, val)]
+    total_val, total_err = val, err
     evals = 15
     while True:
-        total_val = sum(s[3] for s in segments)
-        total_err = sum(s[0] for s in segments)
         if total_err <= max(tol, rel_tol * abs(total_val)):
-            return QuadResult(value=total_val, abs_error_estimate=total_err,
-                              evaluations=evals)
-        if len(segments) >= max_intervals:
+            total_val = sum(s[4] for s in heap)
+            total_err = sum(-s[0] for s in heap)
+            if total_err <= max(tol, rel_tol * abs(total_val)):
+                return QuadResult(value=total_val,
+                                  abs_error_estimate=total_err,
+                                  evaluations=evals)
+        if len(heap) >= max_intervals:
             raise NonConvergenceError(
                 f"adaptive quadrature exhausted {max_intervals} intervals; "
                 f"error estimate {total_err:.3g}")
-        segments.sort(key=lambda s: s[0])
-        _, sa, sb, _ = segments.pop()
+        neg_err, _, sa, sb, sv = heapq.heappop(heap)
         sm = 0.5 * (sa + sb)
         v1, e1 = _gk15(f, sa, sm)
         v2, e2 = _gk15(f, sm, sb)
         evals += 30
-        segments.append((e1, sa, sm, v1))
-        segments.append((e2, sm, sb, v2))
+        heapq.heappush(heap, (-e1, -evals, sa, sm, v1))
+        heapq.heappush(heap, (-e2, -evals - 1, sm, sb, v2))
+        total_val += v1 + v2 - sv
+        total_err += e1 + e2 + neg_err
 
 
 def _one(u):

@@ -8,7 +8,6 @@ photoelectron spectrum whose offset angle realizes the attoclock reading.
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, NumericalWarning
+
+_NAN = complex(math.nan, math.nan)
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,8 @@ class PulseParams:
 def pulse_from_gamma(ip: float, omega: float, gamma: float,
                      envelope: str = "cos4") -> PulseParams:
     """Build pulse parameters with the amplitude fixed by the adiabaticity gamma."""
+    if not (ip > 0.0 and gamma > 0.0):
+        raise DomainError("pulse parameters must be positive")
     a0 = math.sqrt(2.0 * ip) / gamma
     return PulseParams(a0=a0, omega=omega, ip=ip, gamma=gamma, envelope=envelope)
 
@@ -54,43 +57,35 @@ class SaddlePoint:
     branch: int
 
 
-def _envelope_amp(pulse: PulseParams, t, blend: float = 1.0):
-    """A0(t); `blend` homotopy-interpolates constant -> cos4."""
-    if pulse.envelope == "constant":
-        return pulse.a0 * np.ones_like(np.asarray(t, dtype=complex))
-    t = np.asarray(t, dtype=complex)
-    env = np.cos(pulse.omega * t / 4.0) ** 4
-    return pulse.a0 * ((1.0 - blend) + blend * env)
-
-
-def _envelope_amp_prime(pulse: PulseParams, t, blend: float = 1.0):
-    if pulse.envelope == "constant":
-        return np.zeros_like(np.asarray(t, dtype=complex))
-    t = np.asarray(t, dtype=complex)
-    w4 = pulse.omega / 4.0
-    return -pulse.a0 * blend * 4.0 * w4 * np.cos(w4 * t) ** 3 * np.sin(w4 * t)
+def _saddle_terms(pulse: PulseParams, p, rot, z, blend: float = 1.0):
+    """f and df/dt at z = exp(i w t / 4), rot = exp(-i theta): with
+    cos, sin(w t/4) = (z + 1/z)/2, (z - 1/z)/2i and exp(i(w t - theta)) =
+    z^4 rot, one complex exp per point replaces four complex cos/sin."""
+    zi = 1.0 / z
+    e = z * z
+    e = e * e * rot
+    ei = 1.0 / e
+    amp, amp_p = pulse.a0, 0.0
+    if pulse.envelope == "cos4":
+        c = 0.5 * (z + zi)
+        c3 = pulse.a0 * blend * c ** 3
+        amp = pulse.a0 * (1.0 - blend) + c3 * c
+        amp_p = 0.5j * pulse.omega * c3 * (z - zi)
+    # f = p^2 + 2 ip + A0 (A0 - 2p cos), f' = 2 A0' (A0 - p cos) + 2p w A0 sin
+    p_cos = 0.5 * p * (e + ei)
+    g = amp - p_cos
+    f = p * p + 2.0 * pulse.ip + amp * (g - p_cos)
+    fp = 2.0 * amp_p * g - 1j * pulse.omega * p * amp * (e - ei)
+    return f, fp
 
 
 def saddle_function(pulse: PulseParams, p, theta, t, blend: float = 1.0):
-    """f(t) = p^2 + A0(t)^2 - 2 p A0(t) cos(w t - theta) + 2 ip."""
-    amp = _envelope_amp(pulse, t, blend)
-    t = np.asarray(t, dtype=complex)
-    return (p * p + amp * amp
-            - 2.0 * p * amp * np.cos(pulse.omega * t - theta)
-            + 2.0 * pulse.ip)
-
-
-def _saddle_function_prime(pulse: PulseParams, p, theta, t, blend: float = 1.0):
-    amp = _envelope_amp(pulse, t, blend)
-    amp_p = _envelope_amp_prime(pulse, t, blend)
-    t = np.asarray(t, dtype=complex)
-    phase = pulse.omega * t - theta
-    return (2.0 * amp * amp_p
-            - 2.0 * p * (amp_p * np.cos(phase) - amp * pulse.omega * np.sin(phase)))
-
-
-def _residual_scale(pulse: PulseParams, p: float) -> float:
-    return p * p + 2.0 * pulse.ip
+    """f(t) = p^2 + A0(t)^2 - 2 p A0(t) cos(w t - theta) + 2 ip, with
+    A0(t) = a0 [(1 - blend) + blend cos^4(w t / 4)] for the cos4 envelope
+    (`blend` homotopy-interpolates constant -> cos4)."""
+    rot = np.exp(-1j * np.asarray(theta, dtype=float))
+    z = np.exp(0.25j * pulse.omega * np.asarray(t, dtype=complex))
+    return _saddle_terms(pulse, p, rot, z, blend)[0]
 
 
 def saddle_analytic(pulse: PulseParams, p: float, theta: float,
@@ -113,82 +108,88 @@ def saddle_analytic(pulse: PulseParams, p: float, theta: float,
     return SaddlePoint(t_s=t_s, residual=res, branch=branch)
 
 
-def _newton_roots(pulse: PulseParams, p, theta, seeds, blend_steps=(1.0,),
-                  max_iter: int = 60):
-    """Vectorized complex Newton with envelope homotopy; NaN on failure."""
-    roots = np.asarray(seeds, dtype=complex).copy()
+def _newton_roots(pulse: PulseParams, p, theta, seeds):
+    """Complex Newton from `seeds`, node by node, the cos4 envelope switched
+    on in homotopy steps.  NaN seeds are dropped.  At each blend step a node
+    stops at its first step with |step| < 1e-14 (1 + |t|), or after 60
+    steps, and leaves the live set: its root does not depend on the grid
+    around it (up to vector-loop rounding, <= 2e-15).  Roots with
+    |f| >= 1e-10 (p^2 + 2 ip) at the end are NaN.  Returns the roots, the
+    passes over the live set and the Newton steps summed over nodes."""
+    start = np.isfinite(seeds)
+    t = seeds[start]
+    p = np.broadcast_to(p, seeds.shape)[start]
+    theta = np.broadcast_to(theta, seeds.shape)[start]
+    rot = np.exp(-1j * theta)
+    sweeps = steps = 0
     # divergent iterates overflow harmlessly; the residual filter drops them
     with np.errstate(all="ignore"):
-        for blend in blend_steps:
-            for _ in range(max_iter):
-                f = saddle_function(pulse, p, theta, roots, blend)
-                fp = _saddle_function_prime(pulse, p, theta, roots, blend)
+        for blend in ((1.0,) if pulse.envelope == "constant"
+                      else (0.25, 0.5, 0.75, 1.0)):
+            live, tl, pl, rl = np.arange(t.size), t.copy(), p, rot
+            for _ in range(60):
+                if live.size == 0:
+                    break
+                z = np.exp(0.25j * pulse.omega * tl)
+                f, fp = _saddle_terms(pulse, pl, rl, z, blend)
                 step = f / fp
                 step = np.where(np.isfinite(step), step, 0.1)
-                roots = roots - step
-                if np.all(np.abs(step) < 1e-14 * (1.0 + np.abs(roots))):
-                    break
-        res = np.abs(saddle_function(pulse, p, theta, roots))
-    scale = np.asarray(_residual_scale(pulse, np.asarray(p, dtype=float)))
-    bad = ~(res < 1e-10 * scale)
-    roots = np.where(bad, np.nan + 1j * np.nan, roots)
-    return roots
+                tl = tl - step
+                sweeps += 1
+                steps += live.size
+                going = ~(np.abs(step) < 1e-14 * (1.0 + np.abs(tl)))
+                if not going.all():
+                    t[live] = tl
+                    live, tl = live[going], tl[going]
+                    pl, rl = pl[going], rl[going]
+            t[live] = tl
+        res = np.abs(saddle_function(pulse, p, theta, t))
+    roots = np.full(seeds.shape, _NAN)
+    roots[start] = np.where(res < 1e-10 * (p * p + 2.0 * pulse.ip), t, _NAN)
+    return roots, sweeps, steps
 
 
-def _blend_steps(pulse: PulseParams):
-    return (1.0,) if pulse.envelope == "constant" else (0.25, 0.5, 0.75, 1.0)
+def _select(roots, omega: float):
+    """The paper's rule over axis 0: the smallest Im t > 0, near-ties (key
+    Im t + 1e-9 w |Re t|) to the smallest |Re t|; NaN if none is physical."""
+    roots = np.where(roots.imag > 0.0, roots, _NAN)
+    key = np.where(np.isnan(roots), np.inf,
+                   roots.imag + 1e-9 * omega * np.abs(roots.real))
+    return np.take_along_axis(roots, np.argmin(key, axis=0)[None], axis=0)[0]
 
 
-def saddle_numeric(pulse: PulseParams, p: float, theta: float,
-                   seeds=None) -> SaddlePoint:
-    """Newton saddle with the paper's selection rule.
-
-    Seeds default to the constant-envelope analytic saddles on the branches
-    whose real time lies within one optical cycle; the envelope is then
-    switched on in homotopy steps.  Among converged physical roots
-    (Im > 0) the one with smallest Im, then smallest |Re|, is selected.
-    """
-    const_pulse = PulseParams(a0=pulse.a0, omega=pulse.omega, ip=pulse.ip,
-                              gamma=pulse.gamma, envelope="constant")
-    if seeds is None:
-        seeds = []
-        for branch in (-1, 0, 1):
-            sp = saddle_analytic(const_pulse, p, theta, branch)
-            if abs(sp.t_s.real) <= 2.0 * math.pi / pulse.omega:
-                seeds.append(sp.t_s)
-    seeds = np.asarray(seeds, dtype=complex)
-    roots = _newton_roots(pulse, p, theta, seeds, _blend_steps(pulse))
-    ok = np.isfinite(roots.real)
-    if not np.any(ok):
-        raise NonConvergenceError("no saddle converged from any seed")
-    roots = roots[ok]
-    physical = roots[roots.imag > 0.0]
-    if physical.size == 0:
-        raise NonConvergenceError("all converged saddles are unphysical (Im <= 0)")
-    order = np.lexsort((np.abs(physical.real), physical.imag))
-    t_s = complex(physical[order[0]])
-    res = abs(complex(saddle_function(pulse, p, theta, t_s)))
-    return SaddlePoint(t_s=t_s, residual=res, branch=0)
+def saddle_numeric(pulse: PulseParams, p: float, theta: float) -> SaddlePoint:
+    """The saddle `spectrum` selects at (p, theta): its 1x1 grid."""
+    grid = spectrum(pulse, [p], [theta])
+    return SaddlePoint(t_s=complex(grid.saddle_times[0, 0]),
+                       residual=float(grid.saddle_residuals[0, 0]), branch=0)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(40)
 
 
-def action_im(pulse: PulseParams, p, theta, t_s) -> float:
+def action_im(pulse: PulseParams, p, theta, t_s):
     """Im S along the vertical contour from t_i + i tau down to t_i.
 
     Im S = Re{ (1/2) int_tau^0 [f(t_i + i tau') - 2 ip] dtau' } - ip tau
     with f the saddle function (the integrand is its bracketed part).
+    Broadcasts over arrays (NaN where t_s is NaN); a float for scalar input.
     """
-    t_s = complex(t_s)
-    if t_s.imag <= 0.0:
+    t_s = np.asarray(t_s, dtype=complex)
+    if np.any(t_s.imag <= 0.0):
         raise DomainError("action contour requires Im t_s > 0")
-    t_i, tau = t_s.real, t_s.imag
-    # Gauss-Legendre on tau' in [0, tau], oriented tau -> 0 (sign flip).
-    tp = 0.5 * tau * (_GL_NODES + 1.0)
-    vals = saddle_function(pulse, p, theta, t_i + 1j * tp) - 2.0 * pulse.ip
-    integral = -0.5 * tau * np.sum(_GL_WEIGHTS * vals)
-    return float(0.5 * integral.real) - pulse.ip * tau
+    tau = t_s.imag
+    rot = np.exp(-1j * np.asarray(theta, dtype=float))
+    z_i = np.exp(0.25j * pulse.omega * t_s.real)
+    # 40-node Gauss-Legendre on tau' in [0, tau], oriented tau -> 0 and summed
+    # node by node (grid-sized temporaries); there z = z_i exp(-w tau' / 4).
+    total = 0.0
+    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+        z = z_i * np.exp(-0.125 * pulse.omega * tau * (x + 1.0))
+        total = total + w * (_saddle_terms(pulse, p, rot, z)[0]
+                             - 2.0 * pulse.ip)
+    im_s = -0.25 * tau * total.real - pulse.ip * tau
+    return float(im_s) if im_s.ndim == 0 else im_s
 
 
 @dataclass(frozen=True)
@@ -201,54 +202,50 @@ class SpectrumGrid:
     saddle_times: np.ndarray   # complex (n_p, n_theta); NaN where no saddle
     saddle_residuals: np.ndarray
     flags: np.ndarray          # True where no physical saddle was found
+    newton_sweeps: int = 0       # passes over the live nodes
+    node_iterations: int = 0     # Newton steps summed over nodes
+    out_of_pulse_nodes: int = 0  # selected saddles with |Re t| > 2 pi / w
 
 
 def spectrum(pulse: PulseParams, p_grid, theta_grid) -> SpectrumGrid:
-    """Single-saddle spectrum weights = exp(2 Im S), normalized to max 1."""
+    """Single-saddle spectrum weights = exp(2 Im S), normalized to max 1.
+
+    At each node Newton starts from the constant-envelope saddles
+    w t = theta + 2 pi N + i arcosh(...) with N in {-1, 0, 1} and
+    |Re t| <= 2 pi / w, switches the cos4 envelope on in homotopy steps
+    (`_newton_roots`), and keeps the root `_select` picks.
+    """
     p_grid = np.asarray(p_grid, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
-    if p_grid.size == 0 or theta_grid.size == 0:
-        raise DomainError("grids must be non-empty")
+    if p_grid.size == 0 or theta_grid.size == 0 or np.any(p_grid <= 0.0):
+        raise DomainError("grids must be non-empty, with p > 0")
     pp, tt = np.meshgrid(p_grid, theta_grid, indexing="ij")
 
-    # Vectorized over the whole grid, one branch at a time.
-    branch_roots = []
     cycle = 2.0 * math.pi / pulse.omega
     arg = (pulse.a0 / (2.0 * pp)) * ((pp / pulse.a0) ** 2
                                      + pulse.gamma ** 2 + 1.0)
-    tau0 = np.arccosh(np.maximum(arg, 1.0)) / pulse.omega
-    for branch in (-1, 0, 1):
-        t_i0 = (tt + 2.0 * math.pi * branch) / pulse.omega
-        seeds = np.where(np.abs(t_i0) <= cycle, t_i0 + 1j * tau0,
-                         np.nan + 1j * np.nan)
-        branch_roots.append(
-            _newton_roots(pulse, pp, tt, seeds, _blend_steps(pulse)))
-    roots = np.stack(branch_roots)  # (3, n_p, n_theta)
-    roots = np.where(roots.imag > 0.0, roots, np.nan + 1j * np.nan)
-    # selection: smallest Im, then smallest |Re| (lexicographic)
-    key = roots.imag + 1e-9 * pulse.omega * np.abs(roots.real)
-    key = np.where(np.isfinite(key), key, np.inf)
-    pick = np.argmin(key, axis=0)
-    sel = np.take_along_axis(roots, pick[None, ...], axis=0)[0]
-    flags = ~np.isfinite(sel.real)
-
-    # action on all valid nodes at once
-    t_i, tau = sel.real, sel.imag
-    tp = 0.5 * tau[..., None] * (_GL_NODES + 1.0)
-    with np.errstate(invalid="ignore"):
-        vals = saddle_function(pulse, pp[..., None], tt[..., None],
-                               t_i[..., None] + 1j * tp) - 2.0 * pulse.ip
-        integral = -0.5 * tau * np.sum(_GL_WEIGHTS * vals, axis=-1)
-        im_s = 0.5 * integral.real - pulse.ip * tau
-    weights = np.where(flags, 0.0, np.exp(2.0 * np.where(flags, 0.0, im_s)))
+    tau0 = np.arccosh(arg) / pulse.omega  # arg >= sqrt(gamma^2 + 1) (AM-GM)
+    branch = np.array([-1.0, 0.0, 1.0])[:, None, None]
+    t_i0 = (tt + 2.0 * math.pi * branch) / pulse.omega
+    seeds = np.where(np.abs(t_i0) <= cycle, t_i0 + 1j * tau0, _NAN)
+    roots, sweeps, steps = _newton_roots(pulse, pp, tt, seeds)
+    sel = _select(roots, pulse.omega)
+    flags = np.isnan(sel)
+    if flags.all():
+        raise NonConvergenceError("no physical saddle converged at any node")
+    with np.errstate(invalid="ignore"):  # NaN at the flagged nodes
+        im_s = action_im(pulse, pp, tt, sel)
+        resid = np.where(flags, np.inf,
+                         np.abs(saddle_function(pulse, pp, tt, sel)))
+    weights = np.where(flags, 0.0, np.exp(2.0 * im_s))
     top = weights.max()
     if top > 0.0:
         weights = weights / top
-    resid = np.abs(saddle_function(pulse, pp, tt, sel))
-    resid = np.where(flags, np.inf, resid)
     return SpectrumGrid(p_values=p_grid, theta_values=theta_grid,
                         weights=weights, saddle_times=sel,
-                        saddle_residuals=resid, flags=flags)
+                        saddle_residuals=resid, flags=flags,
+                        newton_sweeps=sweeps, node_iterations=steps,
+                        out_of_pulse_nodes=int(np.sum(abs(sel.real) > cycle)))
 
 
 def offset_angle(grid: SpectrumGrid) -> float:

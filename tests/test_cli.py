@@ -112,3 +112,24 @@ def test_transform_sidecar_records_certified_window(tmp_path, scenario):
     assert set(transform) == {"u_max", "nodes", "achieved_change", "rel_tol"}
     assert transform["nodes"] > 0 and transform["u_max"] >= 6.0
     assert 0.0 <= transform["achieved_change"] < transform["rel_tol"] == 1e-7
+
+
+@pytest.mark.parametrize("flag", [["--ip", "0"], ["--ip", "-1"],
+                                  ["--gamma", "0"]])
+def test_ppt_nonpositive_pulse_parameter_is_config_error(tmp_path, flag):
+    out = tmp_path / "s.csv"
+    assert run_cli(["ppt_spectrum", "--n-p", "5", "--n-theta", "9", *flag,
+                    "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_ppt_sidecar_reports_newton_work(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run_cli(["ppt_spectrum", "--n-p", "20", "--n-theta", "41",
+                    "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "s.json").read_text())
+    assert "tolerances" not in side
+    diag = side["diagnostics"]
+    assert diag["unconverged_nodes"] == 0
+    assert 4 <= diag["newton_sweeps"] <= diag["node_iterations"]
+    assert diag["out_of_pulse_nodes"] == 0

@@ -32,6 +32,18 @@ def test_integrate_finite_complex_integrand():
     assert abs(res.value - expected) < 1e-12
 
 
+def test_integrate_finite_many_intervals_work_and_value():
+    """A 318-cycle exponential bisects into 512 intervals of near-equal
+    error, so the order of bisection among near-ties sets the work; the
+    count is pinned to the value of the sort-based loop it replaced."""
+    res = oscquad.integrate_finite(lambda x: np.exp(200j * x), 0.0, 10.0)
+    assert (res.evaluations - 15) // 30 + 1 == 512
+    assert res.evaluations == 15345
+    expected = (cmath.exp(2000j) - 1.0) / 200j
+    assert abs(res.value - expected) < 1e-13
+    assert res.abs_error_estimate <= 1e-10
+
+
 def test_integrate_finite_near_singular_endpoint():
     # int_0^1 1/sqrt(x) dx = 2; integrable endpoint blow-up
     res = oscquad.integrate_finite(lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-30),

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tunnelclock import DomainError, HELIUM_IP
+from tunnelclock import DomainError, HELIUM_IP, NonConvergenceError
 from tunnelclock import ppt
 
 
@@ -85,6 +86,65 @@ def test_spectrum_peak_radius_nonadiabatic():
     grid = ppt.spectrum(COS4, p_grid, theta_grid)
     i, _ = np.unravel_index(np.argmax(grid.weights), grid.weights.shape)
     assert p_grid[i] >= 0.8 * COS4.a0
+
+
+@settings(max_examples=25, deadline=None)
+@given(gamma=st.floats(0.5, 1.0), p_lo=st.floats(0.2, 3.0),
+       theta_lo=st.floats(-math.pi, math.pi - 0.8),
+       i=st.integers(0, 8), j=st.integers(0, 8))
+def test_node_saddle_does_not_depend_on_grid(gamma, p_lo, theta_lo, i, j):
+    """A node of a 9x9 grid selects the saddle of its own 1x1 grid."""
+    pulse = ppt.pulse_from_gamma(HELIUM_IP, 0.569, gamma, envelope="cos4")
+    p_grid = np.linspace(p_lo, p_lo + 2.0, 9)
+    theta_grid = np.linspace(theta_lo, theta_lo + 0.8, 9)
+    grid = ppt.spectrum(pulse, p_grid, theta_grid)
+    assert not grid.flags[i, j]
+    one = ppt.spectrum(pulse, p_grid[i:i + 1], theta_grid[j:j + 1])
+    assert abs(one.saddle_times[0, 0] - grid.saddle_times[i, j]) <= 1e-12
+
+
+def test_saddle_numeric_is_the_one_node_spectrum():
+    for p in (0.4, 1.1, 2.6):
+        for theta in (-2.9, -0.3, 0.0, 1.7):
+            sp = ppt.saddle_numeric(COS4, p, theta)
+            grid = ppt.spectrum(COS4, [p], [theta])
+            assert sp.t_s == grid.saddle_times[0, 0]
+            assert sp.residual == grid.saddle_residuals[0, 0]
+
+
+def test_spectrum_mirror_symmetry_at_next_lobe_input():
+    """At this gamma and grid a node once converged to a root in the next
+    cos^4 lobe and broke the mirror symmetry by 0.037."""
+    gamma = 0.562521410551148
+    pulse = ppt.pulse_from_gamma(HELIUM_IP, 0.569, gamma, envelope="cos4")
+    p_grid = np.linspace(0.2, 3.0 * math.sqrt(2.0 * HELIUM_IP) / gamma, 139)
+    theta_grid = np.linspace(-math.pi, math.pi, 197)
+    grid = ppt.spectrum(pulse, p_grid, theta_grid)
+    assert np.abs(grid.weights - grid.weights[:, ::-1]).max() <= 1e-8
+    assert not grid.flags.any()
+
+
+def test_spectrum_without_any_saddle_raises(monkeypatch):
+    def no_roots(pulse, p, theta, seeds):
+        return np.full(np.shape(seeds), np.nan + 1j * np.nan), 0, 0
+
+    monkeypatch.setattr(ppt, "_newton_roots", no_roots)
+    with pytest.raises(NonConvergenceError):
+        ppt.spectrum(COS4, np.linspace(0.3, 3.0, 5),
+                     np.linspace(-math.pi, math.pi, 7))
+
+
+def test_spectrum_reports_newton_work():
+    p_grid = np.linspace(0.3, 3.5, 12)
+    theta_grid = np.linspace(-math.pi, math.pi, 21)
+    grid = ppt.spectrum(COS4, p_grid, theta_grid)
+    # four blend steps, at least one pass each, at most 60
+    assert 4 <= grid.newton_sweeps <= 240
+    assert grid.newton_sweeps <= grid.node_iterations
+    assert grid.node_iterations <= 3 * grid.flags.size * grid.newton_sweeps
+    cycle = 2.0 * math.pi / COS4.omega
+    assert grid.out_of_pulse_nodes == int(
+        np.sum(np.abs(grid.saddle_times.real) > cycle))
 
 
 def test_offset_angle_synthetic_even_peak():
