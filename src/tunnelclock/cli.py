@@ -1,26 +1,32 @@
 """Command-line front end: scenario execution with CSV + JSON sidecar output.
 
 Usage:
-    tunnelclock <scenario> [--config FILE] [--ip X] [--field X | --kappa X]
-                [--out PATH] [--threads N] [...scenario-specific flags]
+    tunnelclock <scenario> [--config FILE] [--out PATH] [scenario options]
 
-Config files are JSON objects whose keys match the long flag names; flags
-given on the command line override config-file values.  Every run writes a
-CSV data file (17 significant digits) plus a `.json` sidecar recording the
-fully resolved parameters, library version, tolerances, and convergence
-diagnostics.  Exit codes: 0 success, 2 configuration error, 3 numeric
-non-convergence.
+Each scenario takes only the options it reads; `tunnelclock <scenario> -h`
+lists them.  Config files are JSON objects whose keys match the scenario's
+long flag names; flags override config-file values.  An unknown or ill-typed
+key, a number that is not finite and positive, or an --out that its own
+sidecar would overwrite is a configuration error.  Every run writes a CSV
+(17 significant digits) plus a `.json` sidecar recording the resolved
+options, library version and diagnostics; both replace their targets
+atomically.  Exit codes: 0 success, 2 configuration error, 3 numeric
+non-convergence or a failed `validate` check.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
+import shutil
 import sys
+import uuid
 import warnings
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,6 +34,7 @@ from . import __version__
 from . import attoclock as attoclock_mod
 from . import husimi as husimi_mod
 from . import larmor as larmor_mod
+from . import oscquad, specfun
 from . import ppt as ppt_mod
 from . import sfa, variational
 from .errors import DomainError, NonConvergenceError
@@ -39,300 +46,122 @@ EXIT_NONCONVERGENCE = 3
 
 _FMT = "%.17g"
 
-SCENARIOS = ("params", "wavefunction", "husimi", "larmor", "attoclock",
-             "variational", "ppt_spectrum", "scattering_demo", "validate")
-
 
 class ConfigError(Exception):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tunnelclock",
-        description="Tunneling-time observables in a 1D static-field "
-                    "ionization model.")
-    sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in SCENARIOS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", type=str, default=None,
-                        help="JSON config file; flags override its values")
-        sp.add_argument("--ip", type=float, default=None)
-        sp.add_argument("--field", type=float, default=None)
-        sp.add_argument("--kappa", type=float, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--threads", type=int, default=None,
-                        help="reserved; evaluation is single-threaded")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="reserved; all computations are deterministic")
-        if name in ("wavefunction", "husimi", "larmor"):
-            sp.add_argument("--x-max", type=float, default=None,
-                            help="maximum position in units of x0")
-            sp.add_argument("--n-x", type=int, default=None)
-        if name == "husimi":
-            sp.add_argument("--width", type=float, default=None,
-                            help="coherent-state width (default 1/sqrt(kappa_tilde))")
-            sp.add_argument("--p-max", type=float, default=None)
-            sp.add_argument("--n-p", type=int, default=None)
-        if name == "attoclock":
-            sp.add_argument("--u-max", type=float, default=None)
-            sp.add_argument("--n-u", type=int, default=None)
-        if name == "variational":
-            sp.add_argument("--dv", type=float, default=None)
-        if name == "ppt_spectrum":
-            sp.add_argument("--omega", type=float, default=None)
-            sp.add_argument("--gamma", type=float, default=None)
-            sp.add_argument("--envelope", type=str, default=None,
-                            choices=("constant", "cos4"))
-            sp.add_argument("--p-min", type=float, default=None)
-            sp.add_argument("--p-max", type=float, default=None)
-            sp.add_argument("--n-p", type=int, default=None)
-            sp.add_argument("--n-theta", type=int, default=None)
-        if name == "scattering_demo":
-            sp.add_argument("--height", type=float, default=None)
-            sp.add_argument("--half-width", type=float, default=None)
-            sp.add_argument("--wavenumber", type=float, default=None)
-    return parser
+@dataclass(frozen=True)
+class Option:
+    """One scenario option; every numeric option must be finite and positive.
+
+    `default` is a value, or a function of the options resolved before this
+    one and of the model parameters (None in scenarios without a model).
+    """
+
+    name: str
+    type: type
+    default: object
+    help: str
+    choices: tuple | None = None
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    """Config-file values overridden by explicitly supplied flags."""
-    merged: dict = {}
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        if not isinstance(file_cfg, dict):
-            raise ConfigError("config file must contain a JSON object")
-        for key, value in file_cfg.items():
-            merged[key.replace("-", "_")] = value
-    for key, value in vars(args).items():
-        if key in ("config",):
-            continue
-        if value is not None:
-            merged[key] = value
-        else:
-            merged.setdefault(key, None)
-    return merged
+_IP = Option("ip", float, HELIUM_IP, "ionization potential (a.u.)")
+_MODEL = (
+    _IP,
+    Option("field", float, None, "static field (a.u.); excludes --kappa"),
+    Option("kappa", float, lambda cfg, _: 3.0 if cfg["field"] is None else None,
+           "barrier parameter ip*sqrt(2 ip)/field (default 3)"),
+)
+_X_GRID = (Option("x_max", float, 3.0, "maximum position in units of x0"),
+           Option("n_x", int, 121, "number of positions"))
 
 
-_DEFAULTS = {
-    "ip": HELIUM_IP,
-    "kappa": 3.0,
-    "x_max": 3.0,
-    "n_x": 121,
-    "width": None,
-    "p_max": None,
-    "n_p": 100,
-    "u_max": 10.0,
-    "n_u": 101,
-    "dv": None,
-    "omega": 0.569,
-    "gamma": 1.0,
-    "envelope": "cos4",
-    "p_min": 0.2,
-    "n_theta": 181,
-    "height": 1.0,
-    "half_width": 1.0,
-    "wavenumber": 0.8,
-}
+def _params(cfg, params):
+    rows = [[k, v] for k, v in sorted(asdict(params).items())]
+    return ["quantity", "value"], rows, {}
 
 
-def _resolve_model(cfg: dict):
-    ip = cfg.get("ip")
-    if ip is None:
-        ip = _DEFAULTS["ip"]
-        cfg["ip"] = ip
-    field, kappa = cfg.get("field"), cfg.get("kappa")
-    if field is not None and kappa is not None:
-        raise ConfigError("supply exactly one of --field and --kappa")
-    if field is not None:
-        return derive_params(ip, field)
-    if kappa is None:
-        kappa = _DEFAULTS["kappa"]
-        cfg["kappa"] = kappa
-    return params_from_kappa(ip, kappa)
-
-
-def _default(cfg: dict, key: str):
-    value = cfg.get(key)
-    if value is None:
-        value = _DEFAULTS[key]
-        cfg[key] = value
-    return value
-
-
-def _write_outputs(out_path: str, header, rows, sidecar: dict) -> None:
-    side_path = os.path.splitext(out_path)[0] + ".json"
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_FMT % v if isinstance(v, float) else v
-                                 for v in row])
-        with open(side_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except BaseException:
-        for path in (out_path, side_path):
-            if os.path.exists(path):
-                os.remove(path)
-        raise
-
-
-def _model_sidecar(params) -> dict:
-    return {
-        "ip": params.ip, "field": params.field,
-        "kappa_tilde": params.kappa_tilde, "kappa": params.kappa,
-        "x0": params.x0, "tau_tilde": params.tau_tilde,
-    }
-
-
-def _scenario_params(cfg, out):
-    params = _resolve_model(cfg)
-    rows = [[k, v] for k, v in sorted(_model_sidecar(params).items())]
-    _write_outputs(out, ["quantity", "value"], rows,
-                   {"scenario": "params", "model": _model_sidecar(params),
-                    "config": cfg, "version": __version__})
-
-
-def _scenario_wavefunction(cfg, out):
-    params = _resolve_model(cfg)
-    x_max = _default(cfg, "x_max")
-    n_x = _default(cfg, "n_x")
-    xi = np.linspace(0.0, x_max, n_x)
-    transform = sfa._converged_transform(params, max(6.0, x_max + 0.5))
+def _wavefunction(cfg, params):
+    xi = np.linspace(0.0, cfg["x_max"], cfg["n_x"])
+    transform = sfa._converged_transform(params, max(6.0, cfg["x_max"] + 0.5))
     values = transform.psi(xi)
     rows = [[params.x0 * x, v.real, v.imag] for x, v in zip(xi, values)]
-    _write_outputs(out, ["x", "re_psi", "im_psi"], rows,
-                   {"scenario": "wavefunction", "model": _model_sidecar(params),
-                    "config": cfg, "version": __version__,
-                    "transform": transform.summary()})
+    return ["x", "re_psi", "im_psi"], rows, {"transform": transform.summary()}
 
 
-def _scenario_husimi(cfg, out):
-    params = _resolve_model(cfg)
-    x_max = _default(cfg, "x_max")
-    n_x = _default(cfg, "n_x")
-    width = cfg.get("width")
-    if width is None:
-        width = 1.0 / math.sqrt(params.kappa_tilde)
-        cfg["width"] = width
-    p_max = cfg.get("p_max")
-    if p_max is None:
-        p_max = float(math.sqrt(2.0 * params.field
-                                * max(params.x0, (x_max - 1.0) * params.x0))
-                      * 1.4 + 0.5)
-        cfg["p_max"] = p_max
-    n_p = _default(cfg, "n_p")
+def _husimi(cfg, params):
+    x_max, width = cfg["x_max"], cfg["width"]
     pad = 6.5 * width / params.x0
     xi_dense = np.linspace(-pad, x_max + pad, 4001)
     transform = sfa._converged_transform(
         params, float(np.abs(xi_dense).max()) + 0.1)
     psi = sfa.ComplexGrid1D(coordinate_kind="position_xi", coordinates=xi_dense,
                             values=transform.psi(xi_dense), params=params)
-    x_grid = np.linspace(0.0, x_max * params.x0, n_x)
-    p_grid = np.linspace(0.0, p_max, n_p)
+    x_grid = np.linspace(0.0, x_max * params.x0, cfg["n_x"])
+    p_grid = np.linspace(0.0, cfg["p_max"], cfg["n_p"])
     hg = husimi_mod.husimi_grid(psi, x_grid, p_grid, width)
     rows = [[x, p, hg.magnitude[i, j]]
             for i, x in enumerate(x_grid) for j, p in enumerate(p_grid)]
-    _write_outputs(out, ["x", "p", "magnitude"], rows,
-                   {"scenario": "husimi", "model": _model_sidecar(params),
-                    "config": cfg, "version": __version__,
-                    "width": width,
-                    "transform": transform.summary()})
+    return ["x", "p", "magnitude"], rows, {"width": width,
+                                           "transform": transform.summary()}
 
 
-def _scenario_larmor(cfg, out):
-    params = _resolve_model(cfg)
-    x_max = _default(cfg, "x_max")
-    n_x = _default(cfg, "n_x")
-    trace = larmor_mod.larmor_time_trace(params, x_max * params.x0, n=n_x)
-    rows = [[x, t.real, t.imag]
-            for x, t in zip(trace.positions, trace.times)]
-    _write_outputs(out, ["x", "re_tau", "im_tau"], rows,
-                   {"scenario": "larmor", "model": _model_sidecar(params),
-                    "config": cfg, "version": __version__,
-                    "plateau_re_tau": larmor_mod.plateau_time(params).real,
-                    "transform": sfa._converged_transform(params, 6.0).summary()})
+def _larmor(cfg, params):
+    trace = larmor_mod.larmor_time_trace(params, cfg["x_max"] * params.x0,
+                                         n=cfg["n_x"])
+    rows = [[x, t.real, t.imag] for x, t in zip(trace.positions, trace.times)]
+    # The trace ends beyond the tunnel exit, where it is exactly flat.
+    return ["x", "re_tau", "im_tau"], rows, {
+        "plateau_re_tau": float(trace.times[-1].real),
+        "transform": sfa._converged_transform(params, 6.0).summary()}
 
 
-def _scenario_attoclock(cfg, out):
-    params = _resolve_model(cfg)
-    u_max = _default(cfg, "u_max")
-    n_u = _default(cfg, "n_u")
-    trace = attoclock_mod.attoclock_trace(params, u_max, n=n_u)
+def _attoclock(cfg, params):
+    trace = attoclock_mod.attoclock_trace(params, cfg["u_max"], n=cfg["n_u"])
     rows = [[uu, xi, t] for uu, xi, t
             in zip(trace.u_values, trace.xi_values, trace.tau_a)]
-    _write_outputs(out, ["u", "xi", "tau_a"], rows,
-                   {"scenario": "attoclock", "model": _model_sidecar(params),
-                    "config": cfg, "version": __version__,
-                    "tau_tilde": params.tau_tilde,
-                    "tolerances": {"quadrature_tol": 1e-10}})
+    return ["u", "xi", "tau_a"], rows, {
+        "tau_tilde": params.tau_tilde,
+        "tolerances": {"quadrature_tol": 1e-10}}
 
 
-def _scenario_variational(cfg, out):
-    params = _resolve_model(cfg)
-    dv = cfg.get("dv")
+def _variational(cfg, params):
     res = variational.find_resonance(params)
-    if dv is None:
-        dv = 1e-5 * params.ip
-        cfg["dv"] = dv
-    tau = variational.larmor_time_variational(params, dv=dv)
+    tau = variational.larmor_time_variational(params, dv=cfg["dv"])
     defect = abs(variational.consistency_determinant(params, res.energy))
     rows = [["re_energy", res.energy.real],
             ["im_energy", res.energy.imag],
             ["width_gamma", res.width],
             ["lifetime", res.lifetime],
             ["tau_variational", tau]]
-    _write_outputs(out, ["quantity", "value"], rows,
-                   {"scenario": "variational", "model": _model_sidecar(params),
-                    "config": cfg, "version": __version__,
-                    "diagnostics": {"matching_defect": defect},
-                    "tolerances": {"dv": dv}})
+    return ["quantity", "value"], rows, {
+        "diagnostics": {"matching_defect": defect},
+        "tolerances": {"dv": cfg["dv"]}}
 
 
-def _scenario_ppt(cfg, out):
-    ip = _default(cfg, "ip")
-    omega = _default(cfg, "omega")
-    gamma = _default(cfg, "gamma")
-    envelope = _default(cfg, "envelope")
-    pulse = ppt_mod.pulse_from_gamma(ip, omega, gamma, envelope)
-    p_min = _default(cfg, "p_min")
-    p_max = cfg.get("p_max")
-    if p_max is None:
-        p_max = 3.0 * math.sqrt(2.0 * ip) / gamma
-        cfg["p_max"] = p_max
-    n_p = _default(cfg, "n_p")
-    n_theta = _default(cfg, "n_theta")
-    p_grid = np.linspace(p_min, p_max, n_p)
-    theta_grid = np.linspace(-math.pi, math.pi, n_theta)
+def _ppt(cfg, _):
+    pulse = ppt_mod.pulse_from_gamma(cfg["ip"], cfg["omega"], cfg["gamma"],
+                                     cfg["envelope"])
+    p_grid = np.linspace(cfg["p_min"], cfg["p_max"], cfg["n_p"])
+    theta_grid = np.linspace(-math.pi, math.pi, cfg["n_theta"])
     grid = ppt_mod.spectrum(pulse, p_grid, theta_grid)
-    offset = ppt_mod.offset_angle(grid)
     rows = [[p, th, grid.weights[i, j]]
             for i, p in enumerate(p_grid) for j, th in enumerate(theta_grid)]
-    _write_outputs(out, ["p", "theta", "weight"], rows,
-                   {"scenario": "ppt_spectrum",
-                    "pulse": {"a0": pulse.a0, "omega": omega, "ip": ip,
-                              "gamma": gamma, "envelope": envelope},
-                    "config": cfg, "version": __version__,
-                    "offset_angle": offset,
-                    "diagnostics": {
-                        "unconverged_nodes": int(grid.flags.sum()),
-                        "max_saddle_residual": float(
-                            grid.saddle_residuals[~grid.flags].max()),
-                        "newton_sweeps": grid.newton_sweeps,
-                        "node_iterations": grid.node_iterations,
-                        "out_of_pulse_nodes": grid.out_of_pulse_nodes}})
+    return ["p", "theta", "weight"], rows, {
+        "pulse": asdict(pulse),
+        "offset_angle": ppt_mod.offset_angle(grid),
+        "diagnostics": {
+            "unconverged_nodes": int(grid.flags.sum()),
+            "max_saddle_residual": float(
+                grid.saddle_residuals[~grid.flags].max()),
+            "newton_sweeps": grid.newton_sweeps,
+            "node_iterations": grid.node_iterations,
+            "out_of_pulse_nodes": grid.out_of_pulse_nodes}}
 
 
-def _scenario_scattering(cfg, out):
-    height = _default(cfg, "height")
-    half_width = _default(cfg, "half_width")
-    k = _default(cfg, "wavenumber")
+def _scattering(cfg, _):
+    height, half_width, k = cfg["height"], cfg["half_width"], cfg["wavenumber"]
     barrier = variational.square_barrier(height, half_width, k)
     tau_weak, tau_var = variational.scattering_equivalence(height, half_width, k)
     w_trans = abs(barrier.t - barrier.t_t)
@@ -342,26 +171,18 @@ def _scenario_scattering(cfg, out):
             ["im_tau_weak", tau_weak.imag],
             ["tau_variational", tau_var],
             ["transmission_probability", abs(barrier.t) ** 2]]
-    _write_outputs(out, ["quantity", "value"], rows,
-                   {"scenario": "scattering_demo",
-                    "barrier": {"height": height, "half_width": half_width,
-                                "wavenumber": k},
-                    "config": cfg, "version": __version__,
-                    "diagnostics": {"wronskian_transmission": w_trans,
-                                    "wronskian_reflection": w_refl},
-                    "tolerances": {"overlap_tol": 1e-14}})
+    return ["quantity", "value"], rows, {
+        "barrier": {"height": height, "half_width": half_width,
+                    "wavenumber": k},
+        "diagnostics": {"wronskian_transmission": w_trans,
+                        "wronskian_reflection": w_refl},
+        "tolerances": {"overlap_tol": 1e-14}}
 
 
-def _scenario_validate(cfg, out):
-    """Fast invariant suite across the library."""
+def _validate(cfg, params):
+    """Fast invariant suite across the library; exit 3 if a check fails."""
     checks = []
 
-    params = params_from_kappa(cfg.get("ip") or HELIUM_IP,
-                               cfg.get("kappa") or 3.0)
-    cfg.setdefault("ip", params.ip)
-    cfg.setdefault("kappa", params.kappa)
-
-    from . import oscquad, specfun
     val = oscquad.cubic_phase_integral(3.0, 0.5)
     arg = 3.0 ** (2.0 / 3.0) * 0.5
     gi = specfun.scorer_gi(arg)
@@ -389,50 +210,198 @@ def _scenario_validate(cfg, out):
 
     rows = [[name, value, tol, "pass" if value <= tol else "fail"]
             for name, value, tol in checks]
-    ok = all(r[3] == "pass" for r in rows)
-    _write_outputs(out, ["check", "value", "tolerance", "status"], rows,
-                   {"scenario": "validate", "config": cfg,
-                    "version": __version__, "all_passed": ok})
-    if not ok:
-        raise NonConvergenceError("validation checks failed; see output CSV")
+    return ["check", "value", "tolerance", "status"], rows, {
+        "all_passed": all(r[3] == "pass" for r in rows)}
 
 
-_RUNNERS = {
-    "params": _scenario_params,
-    "wavefunction": _scenario_wavefunction,
-    "husimi": _scenario_husimi,
-    "larmor": _scenario_larmor,
-    "attoclock": _scenario_attoclock,
-    "variational": _scenario_variational,
-    "ppt_spectrum": _scenario_ppt,
-    "scattering_demo": _scenario_scattering,
-    "validate": _scenario_validate,
+# scenario -> (compute, options).  compute(cfg, params) returns the CSV
+# header, its rows and the scenario's own sidecar entries; params is the
+# ModelParams of a scenario that takes the _MODEL options, else None.
+SCENARIOS = {
+    "params": (_params, _MODEL),
+    "wavefunction": (_wavefunction, _MODEL + _X_GRID),
+    "husimi": (_husimi, _MODEL + _X_GRID + (
+        Option("width", float, lambda cfg, p: 1.0 / math.sqrt(p.kappa_tilde),
+               "coherent-state width (default 1/sqrt(kappa_tilde))"),
+        Option("p_max", float, lambda cfg, p: float(math.sqrt(
+            2.0 * p.field * max(p.x0, (cfg["x_max"] - 1.0) * p.x0)) * 1.4 + 0.5),
+            "largest momentum (default from the classical one at x_max)"),
+        Option("n_p", int, 100, "number of momenta"))),
+    "larmor": (_larmor, _MODEL + _X_GRID),
+    "attoclock": (_attoclock, _MODEL + (
+        Option("u_max", float, 10.0, "largest detector coordinate u"),
+        Option("n_u", int, 101, "number of u values"))),
+    "variational": (_variational, _MODEL + (
+        Option("dv", float, lambda cfg, p: 1e-5 * p.ip,
+               "potential step of the phase derivative (default 1e-5 ip)"),)),
+    "ppt_spectrum": (_ppt, (
+        _IP,
+        Option("omega", float, 0.569, "laser frequency (a.u.)"),
+        Option("gamma", float, 1.0, "Keldysh parameter"),
+        Option("envelope", str, "cos4", "pulse envelope", ("constant", "cos4")),
+        Option("p_min", float, 0.2, "smallest momentum"),
+        Option("p_max", float,
+               lambda cfg, _: 3.0 * math.sqrt(2.0 * cfg["ip"]) / cfg["gamma"],
+               "largest momentum (default 3 sqrt(2 ip)/gamma)"),
+        Option("n_p", int, 100, "number of momenta"),
+        Option("n_theta", int, 181, "number of emission angles"))),
+    "scattering_demo": (_scattering, (
+        Option("height", float, 1.0, "square-barrier height"),
+        Option("half_width", float, 1.0, "square-barrier half-width"),
+        Option("wavenumber", float, 0.8, "incident wavenumber"))),
+    "validate": (_validate, _MODEL),
 }
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tunnelclock",
+        description="Tunneling-time observables in a 1D static-field "
+                    "ionization model.")
+    sub = parser.add_subparsers(dest="scenario", required=True)
+    for name, (_, options) in SCENARIOS.items():
+        sp = sub.add_parser(name)
+        sp.add_argument("--config",
+                        help="JSON config file; flags override its values")
+        sp.add_argument("--out", help=f"output CSV (default {name}.csv)")
+        for opt in options:
+            text = opt.help
+            if opt.default is not None and not callable(opt.default):
+                text += f" (default {opt.default})"
+            sp.add_argument(_flag(opt.name), type=opt.type, choices=opt.choices,
+                            help=text)
+    return parser
+
+
+def _sidecar_path(out_path: str) -> str:
+    return os.path.splitext(out_path)[0] + ".json"
+
+
+def _checked(opt: Option, value):
+    if opt.type is float and type(value) is int:
+        value = float(value)
+    if type(value) is not opt.type:
+        raise ConfigError(f"{_flag(opt.name)} must be of type "
+                          f"{opt.type.__name__}, got {value!r}")
+    if opt.choices is not None and value not in opt.choices:
+        raise ConfigError(f"{_flag(opt.name)} must be one of {opt.choices}")
+    if opt.type is not str and not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{_flag(opt.name)} must be finite and positive, "
+                          f"got {value!r}")
+    return value
+
+
+def _resolve(args: argparse.Namespace):
+    """The resolved config that the sidecar records, and the model (or None).
+
+    Config-file values are overridden by explicitly supplied flags; unset
+    options take their defaults.
+    """
+    options = SCENARIOS[args.scenario][1]
+    names = {"out"} | {opt.name for opt in options}
+    given: dict = {}
+    if args.config is not None:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config file: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise ConfigError("config file must contain a JSON object")
+        for key, value in file_cfg.items():
+            if key.replace("-", "_") not in names:
+                raise ConfigError(f"unknown config key {key!r} for scenario "
+                                  f"{args.scenario}")
+            given[key.replace("-", "_")] = value
+    given.update((name, getattr(args, name)) for name in names
+                 if getattr(args, name) is not None)
+
+    out = given.get("out") or f"{args.scenario}.csv"
+    if not isinstance(out, str):
+        raise ConfigError(f"--out must be a path, got {out!r}")
+    if os.path.abspath(_sidecar_path(out)) == os.path.abspath(out):
+        raise ConfigError(f"--out {out!r} would be overwritten by its sidecar")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise ConfigError(f"--out {out!r}: no such directory")
+
+    cfg = {"scenario": args.scenario, "out": out}
+    params = None
+    for opt in options:
+        value = given.get(opt.name)
+        if value is None and callable(opt.default):
+            value = opt.default(cfg, params)
+        elif value is None:
+            value = opt.default
+        cfg[opt.name] = None if value is None else _checked(opt, value)
+        if opt is _MODEL[-1]:  # the model options are complete
+            if cfg["field"] is not None and cfg["kappa"] is not None:
+                raise ConfigError("supply exactly one of --field and --kappa")
+            params = (derive_params(cfg["ip"], cfg["field"])
+                      if cfg["field"] is not None
+                      else params_from_kappa(cfg["ip"], cfg["kappa"]))
+    return cfg, params
+
+
+def _write_outputs(out_path: str, header, rows, sidecar: dict) -> None:
+    """Write the CSV and its sidecar atomically.
+
+    Each file goes to a temporary file beside its target and is renamed over
+    the target only once both are complete, so a failed write leaves
+    existing files untouched and no partial or temporary file behind.
+    """
+    temps: dict = {}
     try:
-        cfg = _merge_config(args)
-        scenario = args.scenario
-        out = cfg.get("out") or f"{scenario}.csv"
-        cfg["out"] = out
-        threads = cfg.get("threads")
-        if threads is not None and threads < 1:
-            raise ConfigError("--threads must be >= 1")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        for path in (out_path, _sidecar_path(out_path)):
+            temps[path] = tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+            # Mode 0o666 less the umask, as open(path, "w") gives a new file.
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                if path == out_path:
+                    writer = csv.writer(fh)
+                    writer.writerow(header)
+                    for row in rows:
+                        writer.writerow([_FMT % v if isinstance(v, float)
+                                         else v for v in row])
+                else:
+                    json.dump(sidecar, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+            # open() keeps the mode of a file it truncates.
+            with contextlib.suppress(FileNotFoundError):
+                shutil.copymode(path, tmp)
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in temps.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("default")
-            _RUNNERS[scenario](cfg, out)
+            cfg, params = _resolve(args)
+            header, rows, extras = SCENARIOS[args.scenario][0](cfg, params)
+            sidecar = {"scenario": args.scenario, "config": cfg,
+                       "version": __version__, **extras}
+            if params is not None:
+                sidecar["model"] = asdict(params)
+            _write_outputs(cfg["out"], header, rows, sidecar)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
+    if sidecar.get("all_passed") is False:
+        print("error: validation checks failed; see output CSV",
+              file=sys.stderr)
         return EXIT_NONCONVERGENCE
     return EXIT_OK
 

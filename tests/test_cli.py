@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -133,3 +135,100 @@ def test_ppt_sidecar_reports_newton_work(tmp_path):
     assert diag["unconverged_nodes"] == 0
     assert 4 <= diag["newton_sweeps"] <= diag["node_iterations"]
     assert diag["out_of_pulse_nodes"] == 0
+
+
+def exit_code(argv):
+    """cli.main's exit code, including argparse's own exits."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["validate", "--kappa", "0"], None),
+    (["wavefunction", "--n-x", "0"], None),
+    (["attoclock", "--u-max", "-1"], None),
+    (["attoclock", "--u-max", "nan"], None),
+    (["params", "--threads", "2"], None),
+    (["params", "--seed", "1"], None),
+    (["scattering_demo", "--kappa", "3"], None),
+    (["ppt_spectrum", "--field", "0.1"], None),
+    (["params"], {"kapa": 5}),
+    (["params"], {"kappa": "abc"}),
+    (["wavefunction"], {"n_x": 3.5}),
+    (["params"], {"n-x": 5}),
+])
+def test_bad_option_is_config_error(tmp_path, argv, config):
+    out = tmp_path / "bad.csv"
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    assert exit_code([*argv, "--out", str(out)]) == 2
+    assert not out.exists() and not (tmp_path / "bad.json").exists()
+
+
+def test_out_in_missing_directory_is_config_error(tmp_path):
+    assert run_cli(["params", "--out", str(tmp_path / "no" / "p.csv")]) == 2
+
+
+def test_out_that_is_its_own_sidecar_is_config_error(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli(["params", "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_validate_uses_field(tmp_path):
+    out = tmp_path / "v.csv"
+    assert run_cli(["validate", "--field", "0.4", "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "v.json").read_text())
+    assert side["model"]["field"] == 0.4
+    assert side["config"]["field"] == 0.4 and side["config"]["kappa"] is None
+
+
+def test_larmor_plateau_from_its_own_trace(tmp_path, monkeypatch):
+    from tunnelclock import larmor
+    calls = []
+    trace = larmor.larmor_time_trace
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(larmor, "larmor_time_trace", counted)
+    out = tmp_path / "l.csv"
+    assert run_cli(["larmor", "--kappa", "3", "--n-x", "17",
+                    "--out", str(out)]) == 0
+    assert len(calls) == 1
+    side = json.loads((tmp_path / "l.json").read_text())
+    assert side["plateau_re_tau"] == float(read_csv(out)[-1][1])
+
+
+def test_failed_write_leaves_existing_outputs(tmp_path, monkeypatch):
+    out, side = tmp_path / "out.csv", tmp_path / "out.json"
+    out.write_text("old csv\n")
+    side.write_text("old json\n")
+
+    def boom(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.json, "dump", boom)
+    with pytest.raises(OSError, match="disk full"):
+        run_cli(["params", "--out", str(out)])
+    assert out.read_text() == "old csv\n"
+    assert side.read_text() == "old json\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
+
+
+def test_outputs_get_the_mode_open_would_give(tmp_path):
+    out, side = tmp_path / "m.csv", tmp_path / "m.json"
+    side.write_text("old\n")
+    side.chmod(0o604)
+    umask = os.umask(0o027)
+    try:
+        assert run_cli(["params", "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640   # new: 0o666 & ~umask
+    assert stat.S_IMODE(side.stat().st_mode) == 0o604  # replaced: kept
