@@ -3,8 +3,8 @@
 One-dimensional static-field ionization model with weak-value analysis:
 Larmor weak-value clock traces, attoclock readings, circular-field
 photoelectron spectra, phase-space (Husimi) maps, and a variational
-resonance method, built on Airy/Scorer special functions and adaptive
-oscillatory quadrature.
+resonance method, built on Airy/Scorer special functions and one fixed
+Gauss-Legendre rule for cubic-phase integrals over any set of lower limits.
 """
 
 __version__ = "1.0.0"

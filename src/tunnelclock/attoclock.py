@@ -3,8 +3,9 @@
 tau_A(u) = tau_tilde * Re[ N(u) / D(u) ]
 
 with the half-line cubic-phase integrals (lower limit -u, prefactors
-u'^2/(u'^2+1)^2 and u'/(u'^2+1)^2) evaluated on a rotated contour.  The
-drift p/F has already been subtracted, so tau_A is a pure tunneling delay;
+u'^2/(u'^2+1)^2 and u'/(u'^2+1)^2) taken by the fixed rule of
+oscquad.cubic_phase_integral, a whole trace in one call per prefactor.
+The drift p/F has already been subtracted, so tau_A is a pure tunneling delay;
 it is non-zero at the tunnel exit and vanishes at the detector by parity.
 """
 
@@ -43,23 +44,24 @@ def _g_delay(t):
     return t * t / (t * t + 1.0) ** 2
 
 
-def delay_integrals(params: ModelParams, u: float) -> tuple[complex, complex]:
-    """Numerator and denominator cubic-phase integrals at momentum u."""
+def _weak_delay(params: ModelParams, u) -> np.ndarray:
+    """tau_A at every u: one N and one D call over all lower limits -u."""
+    lower = -np.asarray(u, dtype=float)
     n = oscquad.cubic_phase_integral(
-        params.kappa, 1.0, lower=-float(u), g=_g_delay, poles=sfa.OVERLAP_POLES)
+        params.kappa, 1.0, lower=lower, g=_g_delay, poles=sfa.OVERLAP_POLES)
     d = oscquad.cubic_phase_integral(
-        params.kappa, 1.0, lower=-float(u), g=sfa._overlap_g,
+        params.kappa, 1.0, lower=lower, g=sfa._overlap_g,
         poles=sfa.OVERLAP_POLES)
-    return n, d
+    small = np.abs(d) < 1e-300
+    if np.any(small):
+        raise DegenerateDenominatorError(
+            f"ionization amplitude underflows at u = {-lower[small]}")
+    return params.tau_tilde * (n / d).real
 
 
 def attoclock_time(params: ModelParams, u: float) -> float:
     """Weak-value attoclock delay at scaled momentum u (a.u.)."""
-    n, d = delay_integrals(params, u)
-    if abs(d) < 1e-300:
-        raise DegenerateDenominatorError(
-            f"ionization amplitude underflows at u = {u}")
-    return params.tau_tilde * float((n / d).real)
+    return float(_weak_delay(params, float(u)))
 
 
 def attoclock_time_via_delay(params: ModelParams, u: float) -> float:
@@ -100,18 +102,13 @@ def asymptotic_parity_split(params: ModelParams, u_cut: float = 12.0):
     half-line pieces follow from conjugation symmetry of the real
     prefactors (even g -> +conj, odd g -> -conj of the right tail).
     """
-    k = params.kappa
-    num_main = oscquad.cubic_phase_integral(
-        k, 1.0, lower=-u_cut, g=_g_delay, poles=sfa.OVERLAP_POLES)
-    num_tail = oscquad.cubic_phase_integral(
-        k, 1.0, lower=u_cut, g=_g_delay, poles=sfa.OVERLAP_POLES)
-    den_main = oscquad.cubic_phase_integral(
-        k, 1.0, lower=-u_cut, g=sfa._overlap_g, poles=sfa.OVERLAP_POLES)
-    den_tail = oscquad.cubic_phase_integral(
-        k, 1.0, lower=u_cut, g=sfa._overlap_g, poles=sfa.OVERLAP_POLES)
-    num_full = num_main + np.conj(num_tail)
-    den_full = den_main - np.conj(den_tail)
-    return num_full, den_full
+    lower = (-u_cut, u_cut)
+    num_main, num_tail = oscquad.cubic_phase_integral(
+        params.kappa, 1.0, lower=lower, g=_g_delay, poles=sfa.OVERLAP_POLES)
+    den_main, den_tail = oscquad.cubic_phase_integral(
+        params.kappa, 1.0, lower=lower, g=sfa._overlap_g,
+        poles=sfa.OVERLAP_POLES)
+    return num_main + np.conj(num_tail), den_main - np.conj(den_tail)
 
 
 def attoclock_trace(params: ModelParams, u_max: float, n: int = 64) -> AttoTrace:
@@ -119,5 +116,5 @@ def attoclock_trace(params: ModelParams, u_max: float, n: int = 64) -> AttoTrace
     if n < 16:
         raise DomainError("need at least 16 trace points")
     u = np.linspace(0.0, float(u_max), n)
-    tau = np.array([attoclock_time(params, ui) for ui in u])
-    return AttoTrace(u_values=u, tau_a=tau, xi_values=1.0 + u * u)
+    return AttoTrace(u_values=u, tau_a=_weak_delay(params, u),
+                     xi_values=1.0 + u * u)

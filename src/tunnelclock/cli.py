@@ -122,8 +122,7 @@ def _attoclock(cfg, params):
     rows = [[uu, xi, t] for uu, xi, t
             in zip(trace.u_values, trace.xi_values, trace.tau_a)]
     return ["u", "xi", "tau_a"], rows, {
-        "tau_tilde": params.tau_tilde,
-        "tolerances": {"quadrature_tol": 1e-10}}
+        "tau_tilde": params.tau_tilde}
 
 
 def _variational(cfg, params):
@@ -175,8 +174,7 @@ def _scattering(cfg, _):
         "barrier": {"height": height, "half_width": half_width,
                     "wavenumber": k},
         "diagnostics": {"wronskian_transmission": w_trans,
-                        "wronskian_reflection": w_refl},
-        "tolerances": {"overlap_tol": 1e-14}}
+                        "wronskian_reflection": w_refl}}
 
 
 def _validate(cfg, params):

@@ -36,8 +36,8 @@ class ModelParams:
 
 def derive_params(ip: float, field: float) -> ModelParams:
     """Build ModelParams from ionization potential and static field (a.u.)."""
-    if ip <= 0.0 or field <= 0.0:
-        raise DomainError(f"ip and field must be positive, got ip={ip}, field={field}")
+    if not (0.0 < ip < math.inf and 0.0 < field < math.inf):
+        raise DomainError(f"ip and field must be finite and positive, got {ip}, {field}")
     kt = math.sqrt(2.0 * ip)
     return ModelParams(
         ip=ip,
@@ -51,8 +51,8 @@ def derive_params(ip: float, field: float) -> ModelParams:
 
 def params_from_kappa(ip: float, kappa: float) -> ModelParams:
     """Build ModelParams by inverting kappa = ip*sqrt(2*ip)/field."""
-    if ip <= 0.0 or kappa <= 0.0:
-        raise DomainError(f"ip and kappa must be positive, got ip={ip}, kappa={kappa}")
+    if not (0.0 < ip < math.inf and 0.0 < kappa < math.inf):
+        raise DomainError(f"ip and kappa must be finite and positive, got {ip}, {kappa}")
     field = ip * math.sqrt(2.0 * ip) / kappa
     return derive_params(ip, field)
 

@@ -150,9 +150,12 @@ def _newton_roots(pulse: PulseParams, p, theta, seeds):
 
 
 def _select(roots, omega: float):
-    """The paper's rule over axis 0: the smallest Im t > 0, near-ties (key
-    Im t + 1e-9 w |Re t|) to the smallest |Re t|; NaN if none is physical."""
-    roots = np.where(roots.imag > 0.0, roots, _NAN)
+    """The paper's rule over axis 0: the smallest Im t > 0 inside the pulse
+    |Re t| <= 2 pi / w (outside it the pulse is zero, and whether Newton
+    jumps to a root of the continued envelope there is set by rounding),
+    near-ties (key Im t + 1e-9 w |Re t|) to the smallest |Re t|; NaN if none."""
+    inside = np.abs(roots.real) <= 2.0 * math.pi / omega
+    roots = np.where((roots.imag > 0.0) & inside, roots, _NAN)
     key = np.where(np.isnan(roots), np.inf,
                    roots.imag + 1e-9 * omega * np.abs(roots.real))
     return np.take_along_axis(roots, np.argmin(key, axis=0)[None], axis=0)[0]

@@ -66,10 +66,14 @@ def bound_overlap(params: ModelParams, u_prime):
     return complex(val) if val.ndim == 0 else val
 
 
-def ionization_integral(params: ModelParams, u: float) -> complex:
-    """I(u) = integral_{-u}^{infty} dt exp(-i kappa (t^3/3+t)) t/(t^2+1)^2."""
+def ionization_integral(params: ModelParams, u):
+    """I(u) = integral_{-u}^{infty} dt exp(-i kappa (t^3/3+t)) t/(t^2+1)^2.
+
+    Scalar u gives a complex, an array of u one value per element.
+    """
     return oscquad.cubic_phase_integral(
-        params.kappa, 1.0, lower=-float(u), g=_overlap_g, poles=OVERLAP_POLES)
+        params.kappa, 1.0, lower=-np.asarray(u, dtype=float), g=_overlap_g,
+        poles=OVERLAP_POLES)
 
 
 def psi_momentum(params: ModelParams, u: float) -> complex:
@@ -117,15 +121,6 @@ _RAY = cmath.exp(-1j * math.pi / 6.0)
 _RAY_DECAY = 40.0
 # psi(xi) is evaluated in blocks of about this many kernel entries.
 _PSI_BLOCK = 1 << 21
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
-
-
-def _gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """16-point Gauss-Legendre nodes and weights on consecutive panels."""
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    return ((mid[:, None] + half[:, None] * _GL_X[None, :]).ravel(),
-            (half[:, None] * _GL_W[None, :]).ravel())
 
 
 def _window_remainder(kappa: float, u):
@@ -171,9 +166,9 @@ class PositionTransform:
     closed-form term:
 
     - the window [-U, U]: frequency-matched Gauss-Legendre panels for the
-      factored integrand e^{-i kappa (u^3/3 + (1-xi) u)} I(u); I(u) is
-      accumulated along the nodes (one rotated-tail evaluation at the left
-      edge, short real segments between nodes).  The window must hold the
+      factored integrand e^{-i kappa (u^3/3 + (1-xi) u)} I(u); I(u) at all
+      nodes is one call of the cumulative rule oscquad.cubic_phase_integral
+      with every -node as a lower limit.  The window must hold the
       stationary points +-sqrt(xi - 1) of every xi, U^2 + 1 >= xi_abs_max;
     - |u| > U: there e^{-i kappa phi(u)} I(u) stops oscillating and tends to
       theta(u) I(inf) e^{-i kappa phi(u)} + R(u) (see _window_remainder).
@@ -216,32 +211,13 @@ class PositionTransform:
         while edges[-1] < self.u_max:
             freq = k * (edges[-1] ** 2 + w_max)
             edges.append(min(self.u_max, edges[-1] + min(1.0, phase_budget / freq)))
-        window, weights = _gl_panels(np.asarray(edges))
+        window, weights = oscquad.gl_panels(np.asarray(edges))
 
-        # I at the ascending nodes: tail start, then panel-rule increments
-        # over the short gaps [-u_{j+1}, -u_j].
-        i_first = oscquad.cubic_phase_integral(
-            k, 1.0, lower=-window[0], g=_overlap_g, poles=OVERLAP_POLES)
-        seg_a = -window[1:]
-        seg_b = -window[:-1]
-        sh = 0.5 * (seg_b - seg_a)
-        sm = 0.5 * (seg_a + seg_b)
-        increments = np.empty(sh.size, dtype=complex)
-        chunk = 65536
-        for lo in range(0, sh.size, chunk):
-            hi = min(lo + chunk, sh.size)
-            t = sm[lo:hi, None] + sh[lo:hi, None] * _GL_X[None, :]
-            denom = t * t + 1.0
-            amp = t / (denom * denom)
-            ph = -k * (t * t * t / 3.0 + t)
-            fvals = amp * np.cos(ph) + 1j * (amp * np.sin(ph))
-            increments[lo:hi] = sh[lo:hi] * (fvals @ _GL_W)
-        i_nodes = i_first + np.concatenate([[0.0], np.cumsum(increments)])
-        # Full-line limit I(inf) = I(u_last) + integral_{-inf}^{-u_last}; the
-        # missing piece is -conj of the right tail from u_last, because the
-        # prefactor is odd and real on the real axis.
-        right_tail = oscquad.cubic_phase_integral(
-            k, 1.0, lower=window[-1], g=_overlap_g, poles=OVERLAP_POLES)
+        # I at every node and the right tail from the last one, in one call:
+        # I(inf) = I(u_last) + integral_{-inf}^{-u_last}, and that piece is
+        # -conj of the right tail because the prefactor is odd and real.
+        i_all = ionization_integral(params, np.append(window, -window[-1]))
+        i_nodes, right_tail = i_all[:-1], i_all[-1]
         self.i_infinity = i_nodes[-1] - np.conj(right_tail)
 
         # Rotated ray: geometric panels from the boundary layer at s = 0
@@ -256,7 +232,7 @@ class PositionTransform:
         ray_edges = [0.0, 2.0 / (k * (u2 + self.xi_abs_max))]
         while decay(ray_edges[-1]) < _RAY_DECAY:
             ray_edges.append(2.0 * ray_edges[-1])
-        s, s_weights = _gl_panels(np.asarray(ray_edges))
+        s, s_weights = oscquad.gl_panels(np.asarray(ray_edges))
         ray = self.u_max + _RAY * s
 
         self._pref = (4.0 * params.x0 / k) / math.sqrt(2.0 * math.pi)

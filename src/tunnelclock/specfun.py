@@ -151,11 +151,6 @@ def _airy_asymptotic(z: complex) -> AiryBundle:
     return AiryBundle(ai=ai, ai_prime=aip, bi=bi, bi_prime=bip)
 
 
-def _airy_two_regime(z: complex) -> AiryBundle:
-    """Series/asymptotic evaluation used for cross-validation of airy()."""
-    return _airy_series(z) if abs(z) <= SERIES_RADIUS else _airy_asymptotic(z)
-
-
 def airy(z: complex) -> AiryBundle:
     """Ai, Bi, Ai', Bi' at complex z. Valid for |z| <= 1e4."""
     z = complex(z)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oscquad, specfun
+from . import specfun
 from .errors import DomainError, NonConvergenceError, NumericalWarning
 from .model import ModelParams
 
@@ -203,11 +203,6 @@ class SquareBarrier:
         x = np.asarray(x, dtype=complex)
         return self.c * np.exp(self.q * x) + self.d * np.exp(-self.q * x)
 
-    def psi_transmitted_conj(self, x):
-        """psi_t^* = right-incident solution, inside the barrier."""
-        x = np.asarray(x, dtype=complex)
-        return self.c_p * np.exp(self.q * x) + self.d_p * np.exp(-self.q * x)
-
 
 def square_barrier(height: float, halfwidth: float, k: float) -> SquareBarrier:
     if not (0.0 < k * k / 2.0 < height):
@@ -246,11 +241,11 @@ def scattering_equivalence(barrier_height: float, barrier_halfwidth: float,
     tau_variational = -d(arg T)/dV (Richardson central differences).
     """
     sb = square_barrier(barrier_height, barrier_halfwidth, k)
-    a = sb.halfwidth
-    overlap = oscquad.integrate_finite(
-        lambda x: sb.psi_transmitted_conj(x) * sb.psi_initial(x), -a, a,
-        tol=1e-14, rel_tol=1e-12)
-    tau_weak = overlap.value / (k * sb.t)
+    a, q = sb.halfwidth, sb.q
+    # integral_{-a}^{a} (c' e^{qx} + d' e^{-qx})(c e^{qx} + d e^{-qx}) dx
+    overlap = ((sb.c_p * sb.c + sb.d_p * sb.d) * math.sinh(2.0 * q * a) / q
+               + 2.0 * a * (sb.c_p * sb.d + sb.d_p * sb.c))
+    tau_weak = overlap / (k * sb.t)
 
     def arg_t(v: float) -> float:
         return cmath.phase(square_barrier(v, barrier_halfwidth, k).t)

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -69,6 +70,23 @@ def test_determinism_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_attoclock_far_detector(tmp_path):
+    """u_max = 30 needs ~3k fixed panels; the delay has vanished there."""
+    out = tmp_path / "a.csv"
+    assert run_cli(["attoclock", "--u-max", "30", "--out", str(out)]) == 0
+    tau_far = float(read_csv(out)[-1][2])
+    tau_tilde = json.loads((tmp_path / "a.json").read_text())["tau_tilde"]
+    assert abs(tau_far) <= 0.01 * tau_tilde
+
+
+def test_attoclock_beyond_panel_cap_exits_3_at_once(tmp_path):
+    out = tmp_path / "a.csv"
+    t0 = time.perf_counter()
+    assert run_cli(["attoclock", "--u-max", "1000", "--out", str(out)]) == 3
+    assert time.perf_counter() - t0 < 5.0
+    assert not out.exists()
+
+
 def test_csv_round_trip_precision(tmp_path):
     out = tmp_path / "p.csv"
     run_cli(["params", "--kappa", "3", "--out", str(out)])
@@ -93,7 +111,7 @@ def test_scattering_demo_sidecar_diagnostics(tmp_path):
     assert run_cli(["scattering_demo", "--out", str(out)]) == 0
     side = json.loads((tmp_path / "s.json").read_text())
     assert side["diagnostics"]["wronskian_transmission"] < 1e-12
-    assert side["tolerances"]
+    assert "tolerances" not in side
 
 
 def test_entry_point_installed():

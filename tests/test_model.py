@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from tunnelclock import (
     HELIUM_IP,
+    attoclock,
+    oscquad,
     DomainError,
     classical_trajectory,
     classical_velocity,
@@ -73,3 +75,24 @@ def test_position_from_u_identity():
     p = params_from_kappa(HELIUM_IP, 3.0)
     for u in (0.0, 0.5, 2.0):
         assert position_from_u(p, u) == pytest.approx(1.0 + u * u)
+
+
+NON_FINITE_CALLS = {
+    "derive_params ip": lambda x: derive_params(x, 0.05),
+    "derive_params field": lambda x: derive_params(HELIUM_IP, x),
+    "params_from_kappa ip": lambda x: params_from_kappa(x, 3.0),
+    "params_from_kappa kappa": lambda x: params_from_kappa(HELIUM_IP, x),
+    "cubic_phase_integral kappa": lambda x: oscquad.cubic_phase_integral(x, 1.0),
+    "cubic_phase_integral w": lambda x: oscquad.cubic_phase_integral(3.0, x),
+    "cubic_phase_integral lower":
+        lambda x: oscquad.cubic_phase_integral(3.0, 1.0, lower=[0.0, x]),
+    "attoclock_time u": lambda x: attoclock.attoclock_time(
+        params_from_kappa(HELIUM_IP, 3.0), x),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_non_finite_input_raises_domain_error(name, bad):
+    with pytest.raises(DomainError):
+        NON_FINITE_CALLS[name](bad)

@@ -1,4 +1,4 @@
-"""Adaptive quadrature and the rotated-contour cubic-phase integral."""
+"""The fixed cubic-phase rule, and the adaptive reference it is checked against."""
 
 import cmath
 import math
@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tunnelclock import ContourCrossingError, DomainError
-from tunnelclock import oscquad, specfun
+from tunnelclock import ContourCrossingError, DomainError, NonConvergenceError
+from tunnelclock import attoclock, oscquad, sfa, specfun
 
 
 def test_integrate_finite_exponential():
@@ -127,5 +127,56 @@ def test_invalid_arguments():
     with pytest.raises(DomainError):
         oscquad.cubic_phase_integral(-1.0, 0.0)
     with pytest.raises(DomainError):
+        oscquad.cubic_phase_integral(3.0, 0.0, lower=[])
+    with pytest.raises(DomainError):
         oscquad.integrate_finite(np.exp, 2.0, 1.0)
     assert oscquad.integrate_finite(np.exp, 1.0, 1.0).value == 0j
+
+
+PREFACTORS = {"numerator": attoclock._g_delay, "denominator": sfa._overlap_g}
+
+
+@pytest.mark.parametrize("name", sorted(PREFACTORS))
+def test_array_lower_matches_scalar_calls(name):
+    """One call over many lower limits (unsorted, repeated, beyond the
+    default split point) equals the element-wise scalar calls."""
+    g = PREFACTORS[name]
+    lower = np.array([[-7.3, 0.0, 2.5], [-0.4, 11.0, -7.3]])
+    arr = oscquad.cubic_phase_integral(4.0, 1.0, lower=lower, g=g,
+                                       poles=sfa.OVERLAP_POLES)
+    assert arr.shape == lower.shape
+    for lo, val in zip(lower.ravel(), arr.ravel()):
+        ref = oscquad.cubic_phase_integral(4.0, 1.0, lower=lo, g=g,
+                                           poles=sfa.OVERLAP_POLES)
+        assert isinstance(ref, complex)
+        assert abs(val - ref) <= 1e-14
+
+
+@pytest.mark.parametrize("kappa", [2.0, 5.0, 10.0])
+@pytest.mark.parametrize("name", sorted(PREFACTORS))
+def test_lower_limit_differences_match_adaptive_reference(kappa, name):
+    """I(-u_i) - I(-u_{i+1}) is the integral over [-u_{i+1}, -u_i]."""
+    g = PREFACTORS[name]
+    lower = -np.linspace(0.0, 10.0, 41)
+    vals = oscquad.cubic_phase_integral(kappa, 1.0, lower=lower, g=g,
+                                        poles=sfa.OVERLAP_POLES)
+
+    def f(t):
+        return g(t) * np.exp(-1j * kappa * (t ** 3 / 3.0 + t))
+
+    for i in range(lower.size - 1):
+        ref = oscquad.integrate_finite(f, lower[i + 1], lower[i], tol=1e-13,
+                                       rel_tol=1e-12).value
+        assert abs((vals[i + 1] - vals[i]) - ref) <= 1e-13 + 1e-12 * abs(ref)
+
+
+def test_panel_cap_refuses_before_evaluating():
+    calls = []
+
+    def g(u):
+        calls.append(1)
+        return np.ones_like(u)
+
+    with pytest.raises(NonConvergenceError):
+        oscquad.cubic_phase_integral(3.0, 1.0, lower=-1000.0, g=g)
+    assert not calls

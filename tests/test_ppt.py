@@ -113,15 +113,16 @@ def test_saddle_numeric_is_the_one_node_spectrum():
 
 
 def test_spectrum_mirror_symmetry_at_next_lobe_input():
-    """At this gamma and grid a node once converged to a root in the next
-    cos^4 lobe and broke the mirror symmetry by 0.037."""
-    gamma = 0.562521410551148
-    pulse = ppt.pulse_from_gamma(HELIUM_IP, 0.569, gamma, envelope="cos4")
-    p_grid = np.linspace(0.2, 3.0 * math.sqrt(2.0 * HELIUM_IP) / gamma, 139)
-    theta_grid = np.linspace(-math.pi, math.pi, 197)
-    grid = ppt.spectrum(pulse, p_grid, theta_grid)
-    assert np.abs(grid.weights - grid.weights[:, ::-1]).max() <= 1e-8
-    assert not grid.flags.any()
+    """At these gammas and grid a node once converged to a root in the next
+    cos^4 lobe and broke the mirror symmetry by 0.037 and 0.042."""
+    for gamma in (0.562521410551148, 0.5624864852237789):
+        pulse = ppt.pulse_from_gamma(HELIUM_IP, 0.569, gamma, envelope="cos4")
+        p_grid = np.linspace(0.2, 3.0 * math.sqrt(2.0 * HELIUM_IP) / gamma,
+                             139)
+        theta_grid = np.linspace(-math.pi, math.pi, 197)
+        grid = ppt.spectrum(pulse, p_grid, theta_grid)
+        assert np.abs(grid.weights - grid.weights[:, ::-1]).max() <= 1e-8
+        assert not grid.flags.any()
 
 
 def test_spectrum_without_any_saddle_raises(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tunnelclock import HELIUM_IP, NonConvergenceError, params_from_kappa
-from tunnelclock import variational
+from tunnelclock import oscquad, variational
 
 
 PARAMS = params_from_kappa(HELIUM_IP, 3.0)
@@ -109,3 +109,20 @@ def test_hartman_saturation():
 def test_nonconvergence_reported():
     with pytest.raises(NonConvergenceError):
         variational.find_resonance(PARAMS, start=10.0 + 0j, max_iter=3)
+
+
+@pytest.mark.parametrize("height, halfwidth, k", [(1.0, 1.0, 0.8),
+                                                  (1.3, 0.9, 0.7),
+                                                  (2.5, 2.2, 0.5)])
+def test_weak_overlap_closed_form_matches_adaptive_reference(height,
+                                                             halfwidth, k):
+    sb = variational.square_barrier(height, halfwidth, k)
+
+    def overlap_density(x):
+        psi_t_conj = sb.c_p * np.exp(sb.q * x) + sb.d_p * np.exp(-sb.q * x)
+        return psi_t_conj * sb.psi_initial(x)
+
+    ref = oscquad.integrate_finite(overlap_density, -halfwidth, halfwidth,
+                                   tol=1e-14, rel_tol=1e-12).value / (k * sb.t)
+    tau_weak, _ = variational.scattering_equivalence(height, halfwidth, k)
+    assert abs(tau_weak - ref) <= 1e-12 * abs(ref)
