@@ -344,6 +344,15 @@ def _resolve(args: argparse.Namespace):
     return cfg, params
 
 
+def _row_template(types: tuple):
+    """One '%' template for a row of floats, byte for byte what csv.writer
+    writes for their _FMT strings; None for a row holding anything else,
+    which csv.writer writes (text may need quoting)."""
+    if all(issubclass(t, float) for t in types):
+        return ",".join([_FMT] * len(types)) + "\r\n"
+    return None
+
+
 def _write_outputs(out_path: str, header, rows, sidecar: dict) -> None:
     """Write the CSV and its sidecar atomically.
 
@@ -361,9 +370,17 @@ def _write_outputs(out_path: str, header, rows, sidecar: dict) -> None:
                 if path == out_path:
                     writer = csv.writer(fh)
                     writer.writerow(header)
+                    templates: dict = {}
                     for row in rows:
-                        writer.writerow([_FMT % v if isinstance(v, float)
-                                         else v for v in row])
+                        types = tuple(map(type, row))
+                        if types not in templates:
+                            templates[types] = _row_template(types)
+                        template = templates[types]
+                        if template is None:
+                            writer.writerow([_FMT % v if isinstance(v, float)
+                                             else v for v in row])
+                        else:
+                            fh.write(template % tuple(row))
                 else:
                     json.dump(sidecar, fh, indent=2, sort_keys=True)
                     fh.write("\n")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, DomainError
-from .sfa import ComplexGrid1D
+from .sfa import ComplexGrid1D, _progression_split
 
 
 @dataclass(frozen=True)
@@ -65,14 +65,19 @@ def husimi_grid(psi: ComplexGrid1D, x_grid, p_grid, width: float) -> PhaseSpaceG
 
     H = W @ F with the Gaussian windows W[i, j] = g(x'_j - x_i) and
     F[j, m] = w_j psi(x'_j) e^{-i p_m x'_j}, w the trapezoid weights of the
-    psi grid: the same sum husimi_point takes cell by cell.
+    psi grid: the same sum husimi_point takes cell by cell.  On a uniform
+    psi grid the phases e^{-i p x'} are anchor times offset phases
+    (sfa._progression_split), one complex multiply per entry; the real W
+    multiplies the real and imaginary parts of F in one real product.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
     if x_grid.size == 0 or p_grid.size == 0:
         raise DomainError("grids must be non-empty")
-    if width <= 0.0:
-        raise DomainError("width must be positive")
+    if not (np.all(np.isfinite(x_grid)) and np.all(np.isfinite(p_grid))):
+        raise DomainError("grids must be finite")
+    if not 0.0 < width < np.inf:
+        raise DomainError("width must be finite and positive")
     xs = _physical_positions(psi)
     _check_coverage(xs, float(x_grid.min()), width)
     _check_coverage(xs, float(x_grid.max()), width)
@@ -83,10 +88,13 @@ def husimi_grid(psi: ComplexGrid1D, x_grid, p_grid, width: float) -> PhaseSpaceG
     trapezoid = np.zeros_like(xs)
     trapezoid[:-1] += 0.5 * steps
     trapezoid[1:] += 0.5 * steps
-    waves = (trapezoid * psi.values)[:, None] \
-        * np.exp(-1j * np.outer(xs, p_grid))  # (n_x', n_p)
+    anchors, offsets = _progression_split(xs)
+    phases = (np.exp(-1j * np.outer(anchors, p_grid))[:, None, :]
+              * np.exp(-1j * np.outer(offsets, p_grid))).reshape(-1, p_grid.size)
+    waves = (trapezoid * psi.values)[:, None] * phases[:xs.size]  # (n_x', n_p)
+    overlaps = (windows @ waves.view(float)).view(complex)
     return PhaseSpaceGrid(x_values=x_grid, p_values=p_grid,
-                          magnitude=np.abs(windows @ waves), width=width)
+                          magnitude=np.abs(overlaps), width=width)
 
 
 def ridge_momenta(grid: PhaseSpaceGrid) -> np.ndarray:

@@ -220,8 +220,10 @@ def spectrum(pulse: PulseParams, p_grid, theta_grid) -> SpectrumGrid:
     """
     p_grid = np.asarray(p_grid, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
-    if p_grid.size == 0 or theta_grid.size == 0 or np.any(p_grid <= 0.0):
-        raise DomainError("grids must be non-empty, with p > 0")
+    if (p_grid.size == 0 or theta_grid.size == 0
+            or not np.all((p_grid > 0.0) & (p_grid < np.inf))
+            or not np.all(np.isfinite(theta_grid))):
+        raise DomainError("grids must be non-empty and finite, with p > 0")
     pp, tt = np.meshgrid(p_grid, theta_grid, indexing="ij")
 
     cycle = 2.0 * math.pi / pulse.omega

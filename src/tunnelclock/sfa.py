@@ -156,6 +156,26 @@ def _remainder_transform(kappa: float, xi: np.ndarray) -> np.ndarray:
     return -math.pi * np.exp(-b) * (np.sign(a) * odd + even)
 
 
+def _progression_split(s: np.ndarray):
+    """Anchors and offsets of the index split j = b B + r of a flat array.
+
+    When s is an arithmetic progression s_j = s_0 + j h, to within
+    4 eps max|s| in every element, B = isqrt(n), the anchors are s_0 + b B h
+    for b < ceil(n/B) and the offsets r h for r < B, so that
+    s_{bB+r} = anchor_b + offset_r.  Any other s gives B = 1: the anchors
+    are s itself and the one offset is 0.
+    """
+    n = s.size
+    if n >= 4:
+        h = (s[-1] - s[0]) / (n - 1)
+        drift = np.abs(s - (s[0] + h * np.arange(n))).max()
+        if drift <= 4.0 * np.finfo(float).eps * np.abs(s).max():
+            block = math.isqrt(n)
+            return (s[0] + h * (block * np.arange(-(-n // block))),
+                    h * np.arange(block))
+    return s, np.zeros(1)
+
+
 class PositionTransform:
     """Numeric Fourier transform u -> xi of the exact SFA wavefunction.
 
@@ -186,6 +206,15 @@ class PositionTransform:
     U = 4; 3.0e-10, 1.1e-10, 1.1e-10 at U = 6.  R is what makes a narrow
     window enough: with the window truncated bare, the error falls only
     like U^-4.
+
+    Cost of psi at n points over N nodes: when xi is an arithmetic
+    progression (any linspace), about 2 sqrt(n) N complex exponentials and
+    one n x N complex matrix product (_progression_split); any other xi
+    takes n N exponentials.  The split moves each evaluation point by about
+    4 eps max|xi - xi_abs_max|, the rounding already in the kernel phase.
+    Measured against the plain sum on 4,001-point grids, relative to
+    max|psi|: at most 4.7e-15 on the husimi scenario's grids at kappa = 2,
+    4.5 and 40, and 8.4e-15 on [-2, 9.9] with xi_abs_max = 10.
     """
 
     def __init__(self, params: ModelParams, u_max: float = 12.0,
@@ -251,17 +280,29 @@ class PositionTransform:
     def psi(self, xi):
         """Evaluate psi(xi) for scalar or array xi inside the window."""
         xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        if np.any(np.abs(xi_arr) > self.xi_abs_max):
+        if not np.all(np.abs(xi_arr) <= self.xi_abs_max):
             raise DomainError(
-                f"xi outside transform window |xi| <= {self.xi_abs_max}")
+                f"xi must be finite and inside |xi| <= {self.xi_abs_max}")
         k = self.params.kappa
         flat = xi_arr.ravel()
         out = (self._pref * _remainder_transform(k, flat)).astype(complex)
+        # exp(i k s_j u) = exp(i k anchor_b u) exp(i k offset_r u), so psi is
+        # one product of anchor rows with offset rows (_progression_split).
+        # s = xi - xi_abs_max <= 0, and walking it downwards keeps both
+        # factors of modulus <= 1 on the ray.
+        s = flat - self.xi_abs_max
+        order = slice(None, None, -1) if s.size > 1 and s[-1] > s[0] \
+            else slice(None)
+        anchors, offsets = _progression_split(s[order])
+        block = offsets.size
+        offset_rows = np.exp(1j * k * np.outer(offsets, self.nodes)) * self._base
+        total = np.empty(anchors.size * block, dtype=complex)
         rows = max(1, _PSI_BLOCK // self.nodes.size)
-        for lo in range(0, flat.size, rows):
-            shifted = flat[lo:lo + rows] - self.xi_abs_max
-            kernel = np.exp(1j * k * np.outer(shifted, self.nodes))
-            out[lo:lo + rows] += kernel @ self._base
+        for lo in range(0, anchors.size, rows):
+            anchor_rows = np.exp(1j * k * np.outer(anchors[lo:lo + rows], self.nodes))
+            total[lo * block:(lo + rows) * block] = \
+                (anchor_rows @ offset_rows.T).ravel()
+        out += total[:flat.size][order]
         out = out.reshape(xi_arr.shape)
         return complex(out[0]) if np.isscalar(xi) else out
 

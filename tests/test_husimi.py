@@ -89,6 +89,8 @@ def test_width_must_be_positive():
     g = _position_grid(xi, np.ones_like(xi))
     with pytest.raises(DomainError):
         husimi.husimi_point(g, 0.0, 0.0, -1.0)
+    with pytest.raises(DomainError):
+        husimi.husimi_grid(g, np.array([0.0, math.nan]), np.array([0.0]), 0.5)
 
 
 def test_grid_requires_position_kind():

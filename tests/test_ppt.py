@@ -173,6 +173,14 @@ def test_offset_angle_synthetic_shifted_peak():
     assert abs(ppt.offset_angle(grid) - 0.3) <= step
 
 
+def test_spectrum_rejects_non_finite_grids():
+    theta = np.linspace(-math.pi, math.pi, 7)
+    for p_grid, theta_grid in [([0.5, math.nan], theta), ([0.5, math.inf], theta),
+                               ([0.5, 1.0], [0.0, math.nan])]:
+        with pytest.raises(DomainError):
+            ppt.spectrum(COS4, p_grid, theta_grid)
+
+
 def test_offset_angle_flat_spectrum_rejected():
     th = np.linspace(-math.pi, math.pi, 61)
     p = np.linspace(0.5, 1.5, 10)

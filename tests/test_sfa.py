@@ -187,15 +187,44 @@ def test_certified_transform_is_narrower_of_passing_pair(kappa):
 
 
 def test_psi_scattered_equals_uniform_grid_values():
-    """Scattered and uniform xi go through the same sum."""
-    transform = sfa._converged_transform(PARAMS, 6.0)
-    xi_uniform = np.linspace(-0.5, 2.5, 97)
-    pick = np.sort(np.random.default_rng(5).choice(97, 23, replace=False))
-    dense = transform.psi(xi_uniform)
-    sparse = transform.psi(xi_uniform[pick])
-    scale = np.abs(dense).max()
-    assert np.max(np.abs(sparse - dense[pick])) <= 1e-13 * scale
-    assert abs(transform.psi(xi_uniform[7]) - dense[7]) <= 1e-13 * scale
+    """Scattered xi (one row per point) and uniform xi (anchor times offset
+    rows) give the same psi, on ascending and descending grids."""
+    wide = np.linspace(-2.0, 9.9, 4001)
+    for params, xi_abs_max, xi_uniform in [
+            (PARAMS, 6.0, np.linspace(-0.5, 2.5, 97)),
+            (params_from_kappa(HELIUM_IP, 40.0), 10.0, wide),
+            (params_from_kappa(HELIUM_IP, 40.0), 10.0, wide[::-1])]:
+        transform = sfa._converged_transform(params, xi_abs_max)
+        pick = np.sort(np.random.default_rng(5).choice(
+            xi_uniform.size, 23, replace=False))
+        dense = transform.psi(xi_uniform)
+        sparse = transform.psi(xi_uniform[pick])
+        scale = np.abs(dense).max()
+        assert np.max(np.abs(sparse - dense[pick])) <= 1e-13 * scale
+        assert abs(transform.psi(xi_uniform[7]) - dense[7]) <= 1e-13 * scale
+
+
+def test_progression_split_takes_every_linspace_grid_of_the_library():
+    """The uniform grids psi and husimi_grid see split into isqrt(n) offsets;
+    a scattered grid keeps B = 1, the plain sum."""
+    eps = np.finfo(float).eps
+    p = params_from_kappa(HELIUM_IP, 4.5)
+    pad = 6.5 / math.sqrt(p.kappa_tilde) / p.x0
+    husimi_xi = np.linspace(-pad, 3.0 + pad, 4001)
+    grids = [np.linspace(0.0, 3.0, 121) - 6.0,  # wavefunction, as psi sees it
+             np.linspace(0.0, 1.0, 513) - 6.0,  # larmor
+             husimi_xi - (np.abs(husimi_xi).max() + 0.1),  # husimi psi
+             husimi_xi * p.x0,  # husimi_grid positions
+             np.linspace(-4.0, 4.0, 9) - 6.0]  # _converged_transform probe
+    for grid in grids:
+        for s in (grid, grid[::-1]):
+            anchors, offsets = sfa._progression_split(s)
+            assert offsets.size == math.isqrt(s.size) > 1
+            split = (anchors[:, None] + offsets).ravel()[:s.size]
+            assert np.max(np.abs(split - s)) <= 8.0 * eps * np.abs(s).max()
+    scattered = np.sort(np.random.default_rng(5).uniform(-0.5, 2.5, 97))
+    anchors, offsets = sfa._progression_split(scattered)
+    assert offsets.size == 1 and np.array_equal(anchors, scattered)
 
 
 def test_wide_xi_window_holds_stationary_points():
@@ -205,6 +234,9 @@ def test_wide_xi_window_holds_stationary_points():
         sfa.PositionTransform(p, u_max=6.0, xi_abs_max=100.0)
     transform = sfa._converged_transform(p, 100.0)
     assert transform.u_max ** 2 + 1.0 >= 100.0
+    for bad in (math.nan, 100.5):
+        with pytest.raises(DomainError):
+            sfa.psi_position(p, bad, xi_abs_max=100.0)
     xi = np.linspace(-100.0, 100.0, 41)
     with np.errstate(over="raise", invalid="raise"):
         got = transform.psi(xi)
