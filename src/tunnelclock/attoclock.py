@@ -19,6 +19,9 @@ from . import oscquad, sfa
 from .errors import DegenerateDenominatorError, DomainError
 from .model import ModelParams
 
+# Lower limits -+_PARITY_CUT of the half-lines asymptotic_parity_split joins.
+_PARITY_CUT = 12.0
+
 
 @dataclass(frozen=True)
 class AttoTrace:
@@ -93,7 +96,7 @@ def attoclock_time_via_delay(params: ModelParams, u: float) -> float:
     return float((num / den).real) - p_det / params.field
 
 
-def asymptotic_parity_split(params: ModelParams, u_cut: float = 12.0):
+def asymptotic_parity_split(params: ModelParams):
     """Even/odd bookkeeping of the u -> infinity integrals.
 
     Returns (numerator_full, denominator_full) over the whole line; parity
@@ -102,7 +105,7 @@ def asymptotic_parity_split(params: ModelParams, u_cut: float = 12.0):
     half-line pieces follow from conjugation symmetry of the real
     prefactors (even g -> +conj, odd g -> -conj of the right tail).
     """
-    lower = (-u_cut, u_cut)
+    lower = (-_PARITY_CUT, _PARITY_CUT)
     num_main, num_tail = oscquad.cubic_phase_integral(
         params.kappa, 1.0, lower=lower, g=_g_delay, poles=sfa.OVERLAP_POLES)
     den_main, den_tail = oscquad.cubic_phase_integral(

@@ -135,8 +135,7 @@ def _variational(cfg, params):
             ["lifetime", res.lifetime],
             ["tau_variational", tau]]
     return ["quantity", "value"], rows, {
-        "diagnostics": {"matching_defect": defect},
-        "tolerances": {"dv": cfg["dv"]}}
+        "diagnostics": {"matching_defect": defect}}
 
 
 def _ppt(cfg, _):
@@ -155,8 +154,7 @@ def _ppt(cfg, _):
             "max_saddle_residual": float(
                 grid.saddle_residuals[~grid.flags].max()),
             "newton_sweeps": grid.newton_sweeps,
-            "node_iterations": grid.node_iterations,
-            "out_of_pulse_nodes": grid.out_of_pulse_nodes}}
+            "node_iterations": grid.node_iterations}}
 
 
 def _scattering(cfg, _):

@@ -19,6 +19,9 @@ from . import sfa, specfun
 from .errors import DomainError
 from .model import ModelParams
 
+# Odd number of points of the dense Simpson grid over the barrier [0, x0].
+_SIMPSON_POINTS = 513
+
 
 @dataclass(frozen=True)
 class TimeTrace:
@@ -108,8 +111,7 @@ def scaling_factor_limit(params: ModelParams, source: str = "saddle",
 
 
 def larmor_time_trace(params: ModelParams, x_max: float, n: int = 64,
-                      source: str = "numeric",
-                      integration_points: int = 513) -> TimeTrace:
+                      source: str = "numeric") -> TimeTrace:
     """Cumulative weak-value Larmor time on positions linspace(0, x_max, n).
 
     The projector theta_B truncates the integrand at the tunnel exit, so
@@ -122,11 +124,9 @@ def larmor_time_trace(params: ModelParams, x_max: float, n: int = 64,
         raise DomainError("x_max must exceed the tunnel exit x0")
     if n < 16:
         raise DomainError("need at least 16 trace points")
-    if integration_points % 2 == 0:
-        integration_points += 1
 
     sigma = scaling_factor(params, source)
-    xi_dense = np.linspace(0.0, 1.0, integration_points)
+    xi_dense = np.linspace(0.0, 1.0, _SIMPSON_POINTS)
     if source == "saddle":
         psi_i = sfa.psi_position_saddle(params, xi_dense)
     else:
@@ -136,7 +136,7 @@ def larmor_time_trace(params: ModelParams, x_max: float, n: int = 64,
     # Cumulative Simpson on the uniform dense grid (composite over pairs,
     # trapezoid closing for odd offsets keeps interpolation smooth).
     h = xi_dense[1] - xi_dense[0]
-    cum = np.zeros(integration_points, dtype=complex)
+    cum = np.zeros(_SIMPSON_POINTS, dtype=complex)
     pair = (h / 3.0) * (integrand[:-2:2] + 4.0 * integrand[1:-1:2]
                         + integrand[2::2])
     cum[2::2] = np.cumsum(pair)

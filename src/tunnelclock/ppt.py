@@ -79,13 +79,12 @@ def _saddle_terms(pulse: PulseParams, p, rot, z, blend: float = 1.0):
     return f, fp
 
 
-def saddle_function(pulse: PulseParams, p, theta, t, blend: float = 1.0):
+def saddle_function(pulse: PulseParams, p, theta, t):
     """f(t) = p^2 + A0(t)^2 - 2 p A0(t) cos(w t - theta) + 2 ip, with
-    A0(t) = a0 [(1 - blend) + blend cos^4(w t / 4)] for the cos4 envelope
-    (`blend` homotopy-interpolates constant -> cos4)."""
+    A0(t) = a0 cos^4(w t / 4) for the cos4 envelope."""
     rot = np.exp(-1j * np.asarray(theta, dtype=float))
     z = np.exp(0.25j * pulse.omega * np.asarray(t, dtype=complex))
-    return _saddle_terms(pulse, p, rot, z, blend)[0]
+    return _saddle_terms(pulse, p, rot, z)[0]
 
 
 def saddle_analytic(pulse: PulseParams, p: float, theta: float,
@@ -207,7 +206,6 @@ class SpectrumGrid:
     flags: np.ndarray          # True where no physical saddle was found
     newton_sweeps: int = 0       # passes over the live nodes
     node_iterations: int = 0     # Newton steps summed over nodes
-    out_of_pulse_nodes: int = 0  # selected saddles with |Re t| > 2 pi / w
 
 
 def spectrum(pulse: PulseParams, p_grid, theta_grid) -> SpectrumGrid:
@@ -249,8 +247,7 @@ def spectrum(pulse: PulseParams, p_grid, theta_grid) -> SpectrumGrid:
     return SpectrumGrid(p_values=p_grid, theta_values=theta_grid,
                         weights=weights, saddle_times=sel,
                         saddle_residuals=resid, flags=flags,
-                        newton_sweeps=sweeps, node_iterations=steps,
-                        out_of_pulse_nodes=int(np.sum(abs(sel.real) > cycle)))
+                        newton_sweeps=sweeps, node_iterations=steps)
 
 
 def offset_angle(grid: SpectrumGrid) -> float:

@@ -107,12 +107,9 @@ def psi_position_saddle(params: ModelParams, xi):
     k = params.kappa
     pref = 1j * math.sqrt(2.0) * math.pi * params.x0 * k ** (-5.0 / 6.0) \
         * math.exp(-2.0 * k / 3.0)
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    out = np.empty(xi_arr.shape, dtype=complex)
-    for i, x in enumerate(xi_arr):
-        arg = k ** (2.0 / 3.0) * (1.0 - x)
-        out[i] = pref * (specfun.airy(arg).ai.real - 1j * specfun.scorer_gi(arg))
-    return complex(out[0]) if np.isscalar(xi) else out
+    arg = k ** (2.0 / 3.0) * (1.0 - np.asarray(xi, dtype=float))
+    out = pref * (specfun.ai_real(arg) - 1j * specfun.scorer_gi(arg))
+    return complex(out) if np.isscalar(xi) else out
 
 
 # Rotated tail ray u = U + s*e^{-i pi/6} (as in oscquad) and the decay, in
@@ -121,6 +118,10 @@ _RAY = cmath.exp(-1j * math.pi / 6.0)
 _RAY_DECAY = 40.0
 # psi(xi) is evaluated in blocks of about this many kernel entries.
 _PSI_BLOCK = 1 << 21
+# Largest local phase advance, in radians, across one window panel.
+_PHASE_BUDGET = 20.0
+# Change between a window and the next doubling that certifies it.
+_WINDOW_REL_TOL = 1e-7
 
 
 def _window_remainder(kappa: float, u):
@@ -218,7 +219,7 @@ class PositionTransform:
     """
 
     def __init__(self, params: ModelParams, u_max: float = 12.0,
-                 xi_abs_max: float = 6.0, phase_budget: float = 20.0):
+                 xi_abs_max: float = 6.0):
         self.params = params
         self.u_max = float(u_max)
         self.xi_abs_max = float(xi_abs_max)
@@ -233,13 +234,13 @@ class PositionTransform:
         w_max = 1.0 + self.xi_abs_max  # largest |1 - xi| in the window
 
         # Frequency-matched panels: 16-node Gauss-Legendre per panel, panel
-        # width limited so the local phase advance stays within phase_budget
+        # width limited so the local phase advance stays within _PHASE_BUDGET
         # radians (well inside the resolving power of 16 nodes), and to 1,
         # the distance of the overlap poles +-i from the axis.
         edges = [-self.u_max]
         while edges[-1] < self.u_max:
             freq = k * (edges[-1] ** 2 + w_max)
-            edges.append(min(self.u_max, edges[-1] + min(1.0, phase_budget / freq)))
+            edges.append(min(self.u_max, edges[-1] + min(1.0, _PHASE_BUDGET / freq)))
         window, weights = oscquad.gl_panels(np.asarray(edges))
 
         # I at every node and the right tail from the last one, in one call:
@@ -313,16 +314,17 @@ class PositionTransform:
 
 
 @lru_cache(maxsize=8)
-def _converged_transform(params: ModelParams, xi_abs_max: float,
-                         rel_tol: float = 1e-7) -> PositionTransform:
+def _converged_transform(params: ModelParams,
+                         xi_abs_max: float) -> PositionTransform:
     """Narrowest window U = 6, 12, 24, ... certified by the next doubling.
 
     Each window is compared with the one twice as wide on a 9-point probe
-    grid.  The first pair whose psi differ by less than rel_tol (relative to
-    the probe's largest |psi|) returns its narrower member: the truncation
-    error falls like U^-13, so the wider window's own error is ~1e-4 of the
-    narrower one's and the measured change is the narrower window's error.
-    The change is stored on the returned transform as achieved_change.
+    grid.  The first pair whose psi differ by less than _WINDOW_REL_TOL
+    (relative to the probe's largest |psi|) returns its narrower member: the
+    truncation error falls like U^-13, so the wider window's own error is
+    ~1e-4 of the narrower one's and the measured change is the narrower
+    window's error.  The change is stored on the returned transform as
+    achieved_change, and the tolerance as rel_tol.
     The first window also contains the stationary points +-sqrt(xi - 1) of
     every xi in range, so U starts above 6 when xi_abs_max > 31.25.
     """
@@ -336,9 +338,9 @@ def _converged_transform(params: ModelParams, xi_abs_max: float,
                                   xi_abs_max=xi_abs_max)
         new = wider.psi(probe)
         change = float(np.max(np.abs(new - ref)) / scale)
-        if change < rel_tol:
+        if change < _WINDOW_REL_TOL:
             current.achieved_change = change
-            current.rel_tol = rel_tol
+            current.rel_tol = _WINDOW_REL_TOL
             return current
         current, ref = wider, new
     raise NonConvergenceError(

@@ -26,6 +26,9 @@ from . import specfun
 from .errors import DomainError, NonConvergenceError, NumericalWarning
 from .model import ModelParams
 
+# larmor_time_variational warns when halving dv moves tau by more than this.
+_DV_STABILITY_TOL = 0.01
+
 
 @dataclass(frozen=True)
 class MatchingSolution:
@@ -150,8 +153,8 @@ def _transmitted_phase(params: ModelParams, energy: complex, dv: float) -> float
     return cmath.phase(sol.coefficients[2])
 
 
-def larmor_time_variational(params: ModelParams, dv: float | None = None,
-                            stability_tol: float = 0.01) -> float:
+def larmor_time_variational(params: ModelParams,
+                            dv: float | None = None) -> float:
     """tau = -d(arg AR)/dV at the resonance energy, by central differences.
 
     The outgoing Airy factor at x = x0 is dV-independent, so the phase of
@@ -168,7 +171,7 @@ def larmor_time_variational(params: ModelParams, dv: float | None = None,
 
     coarse = tau_of(dv)
     fine = tau_of(0.5 * dv)
-    if abs(fine - coarse) > stability_tol * abs(fine):
+    if abs(fine - coarse) > _DV_STABILITY_TOL * abs(fine):
         warnings.warn(
             f"variational time unstable under dv halving "
             f"({coarse:.6g} -> {fine:.6g})", NumericalWarning, stacklevel=2)

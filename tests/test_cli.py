@@ -114,11 +114,31 @@ def test_scattering_demo_sidecar_diagnostics(tmp_path):
     assert "tolerances" not in side
 
 
+def test_variational_sidecar_records_dv_once(tmp_path):
+    out = tmp_path / "v.csv"
+    assert run_cli(["variational", "--dv", "2e-5", "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "v.json").read_text())
+    assert side["config"]["dv"] == 2e-5
+    assert "tolerances" not in side
+
+
 def test_entry_point_installed():
     proc = subprocess.run([sys.executable, "-m", "tunnelclock.cli", "-h"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "scenario" in proc.stdout or "usage" in proc.stdout.lower()
+
+
+def test_cli_import_does_not_load_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, tunnelclock.cli; "
+         "print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("scenario", ["wavefunction", "husimi", "larmor"])
@@ -152,7 +172,6 @@ def test_ppt_sidecar_reports_newton_work(tmp_path):
     diag = side["diagnostics"]
     assert diag["unconverged_nodes"] == 0
     assert 4 <= diag["newton_sweeps"] <= diag["node_iterations"]
-    assert diag["out_of_pulse_nodes"] == 0
 
 
 def exit_code(argv):

@@ -144,8 +144,7 @@ def test_spectrum_reports_newton_work():
     assert grid.newton_sweeps <= grid.node_iterations
     assert grid.node_iterations <= 3 * grid.flags.size * grid.newton_sweeps
     cycle = 2.0 * math.pi / COS4.omega
-    assert grid.out_of_pulse_nodes == int(
-        np.sum(np.abs(grid.saddle_times.real) > cycle))
+    assert np.all(np.abs(grid.saddle_times[~grid.flags].real) <= cycle)
 
 
 def test_offset_angle_synthetic_even_peak():

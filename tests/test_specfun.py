@@ -138,6 +138,33 @@ def test_scorer_gi_rejects_overflow_region():
         specfun.scorer_gi(-1e9)
 
 
+def test_scorer_gi_array_against_scalar_and_mpmath():
+    """One array call equals the scalar calls and matches mpmath.scorergi:
+    relative for x >= 0; for x < 0 relative to the Bi envelope, since
+    Gi = Bi - Hi there carries the error of Bi."""
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate([[0.0], np.logspace(-3, 3, 61), -np.logspace(-3, 3, 61)])
+    gi = specfun.scorer_gi(xs)
+    assert [specfun.scorer_gi(x) for x in xs] == gi.tolist()
+    ref = np.array([float(mpmath.scorergi(x)) for x in xs])
+    nonneg = xs >= 0.0
+    assert np.all(np.abs(gi - ref)[nonneg] <= 1e-14 * np.abs(ref[nonneg]))
+    envelope = np.maximum(np.abs(ref[~nonneg]),
+                          np.abs(xs[~nonneg]) ** -0.25 / math.sqrt(math.pi))
+    assert np.all(np.abs(gi - ref)[~nonneg] <= 2e-12 * envelope)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_argument_raises_domain_error(value):
+    for arg in (value, complex(0.5, value)):  # airy takes one complex z
+        with pytest.raises(DomainError):
+            specfun.airy(arg)
+    for func in (specfun.ai_real, specfun.scorer_gi):
+        for arg in (value, np.array([0.5, value])):
+            with pytest.raises(DomainError):
+                func(arg)
+
+
 def test_scorer_equation_residual():
     """Gi solves y'' - x y = -1/pi (inhomogeneous Airy equation)."""
     h = 1e-3
