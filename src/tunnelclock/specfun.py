@@ -157,7 +157,8 @@ def _airy_asymptotic(z: complex) -> AiryBundle:
 
 
 def airy(z: complex) -> AiryBundle:
-    """Ai, Bi, Ai', Bi' at complex z. Valid for |z| <= 1e4."""
+    """Ai, Bi, Ai', Bi' at complex z, |z| <= 1e4; DomainError where they
+    overflow (Bi past z = 103.2 on the positive axis, Ai on arg z = +-2pi/3)."""
     z = complex(z)
     if not abs(z) <= AIRY_MAX_ABS:
         raise DomainError(f"z = {z} must be finite and inside |z| <= {AIRY_MAX_ABS:g}")
@@ -166,7 +167,7 @@ def airy(z: complex) -> AiryBundle:
                         bi=complex(bi), bi_prime=complex(bip))
     vals = (bundle.ai, bundle.ai_prime, bundle.bi, bundle.bi_prime)
     if not all(cmath.isfinite(v) for v in vals):
-        raise OverflowError(f"Airy overflow at z = {z}")
+        raise DomainError(f"Airy overflow at z = {z}")
     return bundle
 
 

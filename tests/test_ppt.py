@@ -1,5 +1,6 @@
 """Circular-field saddle points, imaginary action, and the spectrum."""
 
+import itertools
 import math
 
 import numpy as np
@@ -54,6 +55,33 @@ def test_action_against_closed_form_constant_envelope():
         assert got == pytest.approx(exact, rel=1e-12)
 
 
+def _action_by_mpmath(mpmath, pulse, p, theta, t_s):
+    """(1/2) Im of the integral of f from t_s down to t_i = Re t_s, with the
+    cos^4 envelope written out (not as a polynomial in exp(i w t / 2))."""
+    w, a0 = mpmath.mpf(pulse.omega), mpmath.mpf(pulse.a0)
+    p, theta = mpmath.mpf(p), mpmath.mpf(theta)
+
+    def f(s):  # at t = t_i + i s; dt = i ds
+        t = t_s.real + 1j * s
+        amp = a0 * mpmath.cos(w * t / 4) ** 4
+        return (p * p + amp * amp - 2 * p * amp * mpmath.cos(w * t - theta)
+                + 2 * pulse.ip)
+
+    return -mpmath.re(mpmath.quad(f, [0, t_s.imag])) / 2
+
+
+def test_action_against_mpmath_line_integral_cos4():
+    """The closed-form Im S at 24 cos^4 saddles against 30-digit quadrature."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for gamma, p, theta in itertools.product(
+                (0.5, 1.0), (0.3, 1.5, 3.5), (-2.9, 0.4, 1.7, math.pi)):
+            pulse = ppt.pulse_from_gamma(HELIUM_IP, 0.569, gamma)
+            t_s = ppt.saddle_numeric(pulse, p, theta).t_s
+            exact = _action_by_mpmath(mpmath, pulse, p, theta, t_s)
+            assert abs(ppt.action_im(pulse, p, theta, t_s) - exact) <= 1e-14
+
+
 def test_action_negative_for_physical_saddles():
     sp = ppt.saddle_analytic(CONST, 1.0, 0.0)
     assert ppt.action_im(CONST, 1.0, 0.0, sp.t_s) < 0.0
@@ -62,7 +90,7 @@ def test_action_negative_for_physical_saddles():
 def test_conjugate_root_theorem_realization():
     """The saddle at -theta is the negated conjugate of the one at theta."""
     for p in (0.8, 1.5):
-        for theta in (0.4, 1.3, 2.7):
+        for theta in (0.4, 1.3, 2.7, math.pi):
             a = ppt.saddle_numeric(COS4, p, theta).t_s
             b = ppt.saddle_numeric(COS4, p, -theta).t_s
             assert abs(b - (-a.conjugate())) <= 1e-10
@@ -181,6 +209,8 @@ def test_spectrum_rejects_non_finite_grids():
 
 
 def test_offset_angle_flat_spectrum_rejected():
+    """Flat everywhere, and the constant envelope's spectrum: flat in theta
+    to rounding, so it has no offset angle, whatever theta rounding favours."""
     th = np.linspace(-math.pi, math.pi, 61)
     p = np.linspace(0.5, 1.5, 10)
     w = np.ones((10, 61))
@@ -189,8 +219,10 @@ def test_offset_angle_flat_spectrum_rejected():
         saddle_times=np.zeros_like(w, dtype=complex),
         saddle_residuals=np.zeros_like(w),
         flags=np.zeros_like(w, dtype=bool))
-    with pytest.raises(DomainError):
-        ppt.offset_angle(grid)
+    constant = ppt.spectrum(CONST, np.linspace(0.2, 6.0, 40), th)
+    for flat in (grid, constant):
+        with pytest.raises(DomainError):
+            ppt.offset_angle(flat)
 
 
 def test_offset_angle_needs_full_theta_coverage():
@@ -211,3 +243,25 @@ def test_arcosh_argument_always_valid():
     for p in np.geomspace(0.01, 50.0, 25):
         sp = ppt.saddle_analytic(CONST, float(p), 0.0)
         assert sp.t_s.imag > 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_rejected(bad):
+    with pytest.raises(DomainError):
+        ppt.PulseParams(a0=bad, omega=0.5, ip=0.9, gamma=1.0,
+                        envelope="cos4")
+    with pytest.raises(DomainError):
+        ppt.PulseParams(a0=1.0, omega=bad, ip=0.5, gamma=1.0,
+                        envelope="cos4")
+    with pytest.raises(DomainError):
+        ppt.pulse_from_gamma(0.9, bad, 1.0)
+    t_s = ppt.saddle_analytic(CONST, 1.0, 0.3).t_s
+    for p, theta in ((bad, 0.3), (1.0, bad)):
+        with pytest.raises(DomainError):
+            ppt.saddle_analytic(CONST, p, theta)
+        with pytest.raises(DomainError):
+            ppt.saddle_function(COS4, p, theta, t_s)
+        with pytest.raises(DomainError):
+            ppt.action_im(COS4, p, theta, t_s)
+    # spectrum passes NaN saddle times at its flagged nodes
+    assert math.isnan(ppt.action_im(COS4, 1.0, 0.3, complex(math.nan, math.nan)))

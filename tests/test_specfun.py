@@ -129,12 +129,14 @@ def test_ai_real_vectorized_matches_scalar():
 
 
 def test_overflow_raises():
-    with pytest.raises((DomainError, OverflowError)):
-        specfun.airy(1e8)
+    """Outside |z| <= 1e4, and inside it where Bi overflows (z > 103.2)."""
+    for z in (1e8, 110.0):
+        with pytest.raises(DomainError):
+            specfun.airy(z)
 
 
 def test_scorer_gi_rejects_overflow_region():
-    with pytest.raises((DomainError, OverflowError)):
+    with pytest.raises(DomainError):
         specfun.scorer_gi(-1e9)
 
 
