@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -86,7 +87,7 @@ def _wavefunction(cfg, params):
     xi = np.linspace(0.0, cfg["x_max"], cfg["n_x"])
     transform = sfa._converged_transform(params, max(6.0, cfg["x_max"] + 0.5))
     values = transform.psi(xi)
-    rows = [[params.x0 * x, v.real, v.imag] for x, v in zip(xi, values)]
+    rows = np.column_stack([params.x0 * xi, values.real, values.imag]).tolist()
     return ["x", "re_psi", "im_psi"], rows, {"transform": transform.summary()}
 
 
@@ -101,8 +102,9 @@ def _husimi(cfg, params):
     x_grid = np.linspace(0.0, x_max * params.x0, cfg["n_x"])
     p_grid = np.linspace(0.0, cfg["p_max"], cfg["n_p"])
     hg = husimi_mod.husimi_grid(psi, x_grid, p_grid, width)
-    rows = [[x, p, hg.magnitude[i, j]]
-            for i, x in enumerate(x_grid) for j, p in enumerate(p_grid)]
+    x_mesh, p_mesh = np.meshgrid(x_grid, p_grid, indexing="ij")
+    rows = np.column_stack([x_mesh.ravel(), p_mesh.ravel(),
+                            hg.magnitude.ravel()]).tolist()
     return ["x", "p", "magnitude"], rows, {"width": width,
                                            "transform": transform.summary()}
 
@@ -110,7 +112,8 @@ def _husimi(cfg, params):
 def _larmor(cfg, params):
     trace = larmor_mod.larmor_time_trace(params, cfg["x_max"] * params.x0,
                                          n=cfg["n_x"])
-    rows = [[x, t.real, t.imag] for x, t in zip(trace.positions, trace.times)]
+    rows = np.column_stack([trace.positions, trace.times.real,
+                            trace.times.imag]).tolist()
     # The trace ends beyond the tunnel exit, where it is exactly flat.
     return ["x", "re_tau", "im_tau"], rows, {
         "plateau_re_tau": float(trace.times[-1].real),
@@ -119,8 +122,8 @@ def _larmor(cfg, params):
 
 def _attoclock(cfg, params):
     trace = attoclock_mod.attoclock_trace(params, cfg["u_max"], n=cfg["n_u"])
-    rows = [[uu, xi, t] for uu, xi, t
-            in zip(trace.u_values, trace.xi_values, trace.tau_a)]
+    rows = np.column_stack([trace.u_values, trace.xi_values,
+                            trace.tau_a]).tolist()
     return ["u", "xi", "tau_a"], rows, {
         "tau_tilde": params.tau_tilde}
 
@@ -144,8 +147,9 @@ def _ppt(cfg, _):
     p_grid = np.linspace(cfg["p_min"], cfg["p_max"], cfg["n_p"])
     theta_grid = np.linspace(-math.pi, math.pi, cfg["n_theta"])
     grid = ppt_mod.spectrum(pulse, p_grid, theta_grid)
-    rows = [[p, th, grid.weights[i, j]]
-            for i, p in enumerate(p_grid) for j, th in enumerate(theta_grid)]
+    p_mesh, theta_mesh = np.meshgrid(p_grid, theta_grid, indexing="ij")
+    rows = np.column_stack([p_mesh.ravel(), theta_mesh.ravel(),
+                            grid.weights.ravel()]).tolist()
     return ["p", "theta", "weight"], rows, {
         "pulse": asdict(pulse),
         "offset_angle": ppt_mod.offset_angle(grid),
@@ -253,7 +257,9 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every scenario, built on the first call and reused."""
     parser = argparse.ArgumentParser(
         prog="tunnelclock",
         description="Tunneling-time observables in a 1D static-field "

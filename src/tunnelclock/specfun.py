@@ -2,6 +2,9 @@
 
 Production evaluation delegates to the AMOS implementation behind
 scipy.special.airy, which is uniformly accurate in all Stokes sectors.
+scipy.special is imported on the first Airy evaluation (`airy`, `ai_real`
+or `scorer_gi` past its input checks), not with this module, so a process
+that never evaluates Airy never loads scipy.
 Two independent in-house representations are kept for validation: the
 Maclaurin series (accurate inside SERIES_RADIUS away from the dominant
 cancellation sector) and the Poincare asymptotic expansions with DLMF
@@ -27,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from . import oscquad
 from .errors import DomainError
@@ -50,6 +52,13 @@ _SQRT3 = math.sqrt(3.0)
 _DIRECT_ARG = 0.75 * math.pi
 
 _OMEGA = cmath.exp(2j * math.pi / 3.0)
+
+
+def _scipy_airy(z):
+    """scipy.special.airy(z); scipy.special is imported on the first call."""
+    import scipy.special
+
+    return scipy.special.airy(z)
 
 
 @dataclass(frozen=True)
@@ -162,7 +171,7 @@ def airy(z: complex) -> AiryBundle:
     z = complex(z)
     if not abs(z) <= AIRY_MAX_ABS:
         raise DomainError(f"z = {z} must be finite and inside |z| <= {AIRY_MAX_ABS:g}")
-    ai, aip, bi, bip = scipy.special.airy(z)
+    ai, aip, bi, bip = _scipy_airy(z)
     bundle = AiryBundle(ai=complex(ai), ai_prime=complex(aip),
                         bi=complex(bi), bi_prime=complex(bip))
     vals = (bundle.ai, bundle.ai_prime, bundle.bi, bundle.bi_prime)
@@ -194,7 +203,7 @@ def scorer_gi(x: np.ndarray | float) -> np.ndarray | float:
     hi = (np.exp(w / m * _HI_S - _HI_S ** 3 / (3.0 * m ** 3)) * _HI_W).sum(
         axis=-1, keepdims=True) / (math.pi * m)
     gi = np.where(col >= 0.0, (hi * cmath.exp(-1j * math.pi / 3.0)).real,
-                  scipy.special.airy(col)[2] - hi.real)[..., 0]
+                  _scipy_airy(col)[2] - hi.real)[..., 0]
     return float(gi) if np.isscalar(x) else gi
 
 
@@ -203,5 +212,5 @@ def ai_real(x: np.ndarray | float) -> np.ndarray | float:
     arr = np.asarray(x, dtype=float)
     if not np.all(np.abs(arr) <= AIRY_MAX_ABS):
         raise DomainError(f"x must be finite and inside |x| <= {AIRY_MAX_ABS:g}")
-    ai = scipy.special.airy(arr)[0]
+    ai = _scipy_airy(arr)[0]
     return float(ai) if np.isscalar(x) else ai

@@ -28,6 +28,8 @@ from .model import ModelParams
 
 # larmor_time_variational warns when halving dv moves tau by more than this.
 _DV_STABILITY_TOL = 0.01
+# Largest q*a of a square barrier: e^{-4qa} is still a normal double.
+_MAX_QA = 177.0
 
 
 @dataclass(frozen=True)
@@ -208,11 +210,25 @@ class SquareBarrier:
 
 
 def square_barrier(height: float, halfwidth: float, k: float) -> SquareBarrier:
+    """Scattering solutions of the barrier `height` on [-halfwidth, halfwidth].
+
+    Valid for 0 < k^2/2 < height and 0 < q a <= 177, q = sqrt(2 height - k^2),
+    a = halfwidth; anything else raises DomainError.  Past q a = 177 the
+    products c' c ~ 1.3 e^{-4qa} that the weak time needs leave the normal
+    double range (at height 1, k 0.8 the weak time is off by 2e-6 relative
+    at q a = 183 and wholly wrong by q a = 210), and past q a ~ 355
+    sinh(2qa) overflows.
+    """
     if not (0.0 < k * k / 2.0 < height):
         raise DomainError("require tunneling regime 0 < k^2/2 < height")
     a = float(halfwidth)
+    if not (math.isfinite(a) and a > 0.0):
+        raise DomainError(f"half-width must be finite and positive, got {a!r}")
     q = math.sqrt(2.0 * height - k * k)
     ika, qa = 1j * k * a, q * a
+    if not qa <= _MAX_QA:
+        raise DomainError(f"q*a = {qa:.6g} exceeds {_MAX_QA:g}: the barrier "
+                          f"is too opaque for double precision")
     # unknowns [R, C, D, T]
     m_left = np.array([
         [cmath.exp(ika), -cmath.exp(-qa), -cmath.exp(qa), 0.0],
@@ -242,6 +258,10 @@ def scattering_equivalence(barrier_height: float, barrier_halfwidth: float,
 
     tau_weak = (1/k) * integral_{-a}^{a} psi_t^*(x) psi_i(x) dx / T,
     tau_variational = -d(arg T)/dV (Richardson central differences).
+    The differences take barriers of height (1 +- 1e-4) barrier_height, so
+    q a must stay inside square_barrier's envelope at the larger one; up to
+    q a = 176.9 the two times agree to <= 6.4e-12 relative (measured at
+    (height, k) = (1, 0.8), (2.5, 0.5), (0.5, 0.9) and (3, 1)).
     """
     sb = square_barrier(barrier_height, barrier_halfwidth, k)
     a, q = sb.halfwidth, sb.q

@@ -141,6 +141,48 @@ def test_cli_import_does_not_load_scipy_integrate():
     assert proc.stdout.strip() == "False"
 
 
+def test_scenarios_without_airy_do_not_load_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = """
+import sys
+from tunnelclock import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), ("import", scipy_modules())
+for argv in (["params"], ["wavefunction", "--n-x", "17"],
+             ["husimi", "--n-x", "7", "--n-p", "15"],
+             ["attoclock", "--n-u", "16"], ["scattering_demo"],
+             ["ppt_spectrum", "--gamma", "0.75", "--n-p", "20",
+              "--n-theta", "61"]):
+    assert cli.main(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+for argv in (["larmor", "--n-x", "25"], ["variational"], ["validate"]):
+    assert cli.main(argv) == 0, argv
+print("ok")
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("half_width", ["180", "400"])
+def test_opaque_square_barrier_is_config_error(tmp_path, half_width):
+    out = tmp_path / "s.csv"
+    assert run_cli(["scattering_demo", "--half-width", half_width,
+                    "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scenario", ["wavefunction", "husimi", "larmor"])
 def test_transform_sidecar_records_certified_window(tmp_path, scenario):
     out = tmp_path / "t.csv"

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from tunnelclock import HELIUM_IP, NonConvergenceError, params_from_kappa
+from tunnelclock import (HELIUM_IP, DomainError, NonConvergenceError,
+                         params_from_kappa)
 from tunnelclock import oscquad, variational
 
 
@@ -91,6 +92,21 @@ def test_square_barrier_wavefunctions_satisfy_matching():
 def test_weak_equals_variational_time():
     tau_weak, tau_var = variational.scattering_equivalence(1.0, 1.0, 0.8)
     assert tau_weak.real == pytest.approx(tau_var, rel=1e-6)
+
+
+def test_square_barrier_envelope():
+    """Inside q a <= 177 the weak time holds; outside it is DomainError."""
+    k = 0.8
+    q = math.sqrt(2.0 - k * k)
+    tau_weak, tau_var = variational.scattering_equivalence(1.0, 176.9 / q, k)
+    assert tau_weak.real == pytest.approx(tau_var, rel=1e-6)
+    # q a = 210 and 466: past 177 e^{-4qa} leaves the normal double range and
+    # the weak time is lost; past ~355 sinh(2qa) overflows.
+    for halfwidth in (math.nan, math.inf, 0.0, -1.0, 180.0, 400.0):
+        with pytest.raises(DomainError):
+            variational.square_barrier(1.0, halfwidth, k)
+        with pytest.raises(DomainError):
+            variational.scattering_equivalence(1.0, halfwidth, k)
 
 
 def test_hartman_saturation():
