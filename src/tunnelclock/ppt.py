@@ -115,8 +115,9 @@ def _newton_roots(pulse: PulseParams, p, theta, seeds):
     """Complex Newton from the finite `seeds`, the cos4 envelope switched on
     in homotopy steps.  At each step a node stops at its first |step| <
     1e-14 (1 + |t|), or after 60, so its root does not depend on the grid
-    (<= 2e-15).  Roots with |f| >= 1e-10 (p^2 + 2 ip) are NaN.  Returns the
-    roots, the passes over the live set and the steps summed over nodes."""
+    (<= 2e-15).  Returns the end points (NaN at NaN seeds; `spectrum` drops
+    those that are no root), the passes over the live set and the steps
+    summed over nodes."""
     start = np.isfinite(seeds)
     t = seeds[start]
     p = np.broadcast_to(p, seeds.shape)[start]
@@ -145,25 +146,28 @@ def _newton_roots(pulse: PulseParams, p, theta, seeds):
                     live, tl = live[going], tl[going]
                     pl, rl = pl[going], rl[going]
             t[live] = tl
-        res = np.abs(saddle_function(pulse, p, theta, t))
-    roots = np.full(seeds.shape, _NAN)
-    roots[start] = np.where(res < 1e-10 * (p * p + 2.0 * pulse.ip), t, _NAN)
-    return roots, sweeps, steps
+    ends = np.full(seeds.shape, _NAN)
+    ends[start] = t
+    return ends, sweeps, steps
 
 
-def _select(roots, theta, omega: float):
+def _select(roots, resid, theta, omega: float):
     """The paper's rule over axis 0: the smallest Im t > 0 inside the pulse
     |Re t| <= 2 pi / w (outside it the pulse is zero), near-ties (key
     Im t + 1e-9 w |Re t|) to the smallest |Re t|; NaN if none.  Keys within
     1e-12 (1 + Im t) tie, and go to sign(Re t) = sign(theta): at theta = +-pi
-    the roots are exact mirror pairs +-x + iy, which rounding must not pick."""
+    the roots are exact mirror pairs +-x + iy, which rounding must not pick.
+    Returns the root and its residual (inf if none)."""
     inside = np.abs(roots.real) <= 2.0 * math.pi / omega
     roots = np.where((roots.imag > 0.0) & inside, roots, _NAN)
     key = np.where(np.isnan(roots), np.inf,
                    roots.imag + 1e-9 * omega * np.abs(roots.real))
     tied = key <= key.min(axis=0) + 1e-12 * (1.0 + roots.imag)
     score = 2 * tied + (tied & (np.sign(roots.real) == np.sign(theta)))
-    return np.take_along_axis(roots, np.argmax(score, axis=0)[None], axis=0)[0]
+    pick = np.argmax(score, axis=0)[None]
+    sel = np.take_along_axis(roots, pick, axis=0)[0]
+    return sel, np.where(np.isnan(sel), np.inf,
+                         np.take_along_axis(resid, pick, axis=0)[0])
 
 
 def saddle_numeric(pulse: PulseParams, p: float, theta: float) -> SaddlePoint:
@@ -216,7 +220,8 @@ def spectrum(pulse: PulseParams, p_grid, theta_grid) -> SpectrumGrid:
 
     At each node Newton starts from the constant-envelope saddles with
     N in {-1, 0, 1} and |Re t| <= 2 pi / w, switches the cos4 envelope on in
-    homotopy steps (`_newton_roots`), and keeps the root `_select` picks.
+    homotopy steps (`_newton_roots`), keeps the end points with |f| <
+    1e-10 (p^2 + 2 ip) as roots, and of those the one `_select` picks.
     """
     p_grid, theta_grid = _finite(p_grid, theta_grid)
     if p_grid.size == 0 or theta_grid.size == 0 or not np.all(p_grid > 0.0):
@@ -228,15 +233,20 @@ def spectrum(pulse: PulseParams, p_grid, theta_grid) -> SpectrumGrid:
     t_i0 = (tt + 2.0 * math.pi * branch) / pulse.omega
     seeds = np.where(np.abs(t_i0) <= 2.0 * math.pi / pulse.omega,
                      t_i0 + 1j * np.arccosh(arg) / pulse.omega, _NAN)
-    roots, sweeps, steps = _newton_roots(pulse, pp, tt, seeds)
-    sel = _select(roots, tt, pulse.omega)
+    ends, sweeps, steps = _newton_roots(pulse, pp, tt, seeds)
+    found = ~np.isnan(ends)
+    resid = np.full(ends.shape, np.inf)
+    with np.errstate(all="ignore"):  # iterates that diverged
+        resid[found] = np.abs(saddle_function(
+            pulse, np.broadcast_to(pp, ends.shape)[found],
+            np.broadcast_to(tt, ends.shape)[found], ends[found]))
+    roots = np.where(resid < 1e-10 * (pp * pp + 2.0 * pulse.ip), ends, _NAN)
+    sel, resid = _select(roots, resid, tt, pulse.omega)
     flags = np.isnan(sel)
     if flags.all():
         raise NonConvergenceError("no physical saddle converged at any node")
     with np.errstate(invalid="ignore"):  # NaN at the flagged nodes
         im_s = action_im(pulse, pp, tt, sel)
-        resid = np.where(flags, np.inf,
-                         np.abs(saddle_function(pulse, pp, tt, sel)))
     weights = np.where(flags, 0.0, np.exp(2.0 * im_s))
     top = weights.max()
     if top > 0.0:

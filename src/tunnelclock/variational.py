@@ -259,12 +259,21 @@ def scattering_equivalence(barrier_height: float, barrier_halfwidth: float,
     tau_weak = (1/k) * integral_{-a}^{a} psi_t^*(x) psi_i(x) dx / T,
     tau_variational = -d(arg T)/dV (Richardson central differences).
     The differences take barriers of height (1 +- 1e-4) barrier_height, so
-    q a must stay inside square_barrier's envelope at the larger one; up to
+    q a must stay inside square_barrier's envelope at the larger one (else
+    DomainError, naming the caller's q a and the largest that fits); up to
     q a = 176.9 the two times agree to <= 6.4e-12 relative (measured at
     (height, k) = (1, 0.8), (2.5, 0.5), (0.5, 0.9) and (3, 1)).
     """
     sb = square_barrier(barrier_height, barrier_halfwidth, k)
     a, q = sb.halfwidth, sb.q
+    h = 1e-4 * barrier_height
+    q_top = math.sqrt(2.0 * (barrier_height + h) - k * k)
+    if not q_top * a <= _MAX_QA:
+        raise DomainError(
+            f"q*a = {q * a:.6g} leaves no headroom for the phase derivative, "
+            f"which also takes the barrier of height (1 + 1e-4) x "
+            f"{barrier_height:g}: this height and wavenumber need "
+            f"q*a <= {_MAX_QA * q / q_top:.6g} for it")
     # integral_{-a}^{a} (c' e^{qx} + d' e^{-qx})(c e^{qx} + d e^{-qx}) dx
     overlap = ((sb.c_p * sb.c + sb.d_p * sb.d) * math.sinh(2.0 * q * a) / q
                + 2.0 * a * (sb.c_p * sb.d + sb.d_p * sb.c))
@@ -272,8 +281,6 @@ def scattering_equivalence(barrier_height: float, barrier_halfwidth: float,
 
     def arg_t(v: float) -> float:
         return cmath.phase(square_barrier(v, barrier_halfwidth, k).t)
-
-    h = 1e-4 * barrier_height
 
     def central(hh: float) -> float:
         return (arg_t(barrier_height + hh) - arg_t(barrier_height - hh)) / (2.0 * hh)

@@ -1,6 +1,7 @@
 """CLI scenarios: exit codes, config merging, sidecars, determinism."""
 
 import csv
+import io
 import json
 import os
 import stat
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from tunnelclock import cli
@@ -95,6 +97,33 @@ def test_csv_round_trip_precision(tmp_path):
     p = params_from_kappa(HELIUM_IP, 3.0)
     assert float(data["field"]) == p.field        # 17 sig digits round-trips
     assert float(data["tau_tilde"]) == p.tau_tilde
+
+
+def test_float_table_written_as_csv_writer_would(tmp_path):
+    """A float table is written column by column, yet byte for byte as
+    csv.writer writes the rows' _FMT strings: over more than 2**16 rows (many
+    write blocks and a partial last one), with 0.0 and -0.0 in one column,
+    NaN, +-inf, subnormals, the largest double, neighbours that differ in
+    the 17th digit and heavily repeated values."""
+    rng = np.random.default_rng(7)
+    n = (1 << 16) + 4321
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               1e-310, 2.225073858507201e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, np.nextafter(0.1, 1.0),
+               np.nextafter(0.1, 0.0)]
+    table = np.column_stack([
+        rng.choice(special, n),
+        np.tile(np.linspace(-3.0, 3.0, 121), n // 121 + 1)[:n],
+        rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+        np.repeat(rng.random(7), n // 7 + 1)[:n]])
+    header = ["a", "b", "c", "d"]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows([cli._FMT % v for v in row] for row in table.tolist())
+    out = tmp_path / "t.csv"
+    cli._write_outputs(str(out), header, table, {})
+    assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_validate_scenario_passes(tmp_path):

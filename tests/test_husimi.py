@@ -133,3 +133,24 @@ def test_grid_matches_point_on_nonuniform_grid():
     for i, j in zip(rng.integers(0, 7, 12), rng.integers(0, 11, 12)):
         point = husimi.husimi_point(grid, x_grid[i], p_grid[j], width)
         assert hg.magnitude[i, j] == pytest.approx(point, rel=1e-12)
+
+
+def test_grid_matches_point_where_windows_hold_subnormals():
+    """At kappa 40 the windows' far tails fall below the smallest normal
+    double; the one-product grid still equals the cell-by-cell sum."""
+    params = params_from_kappa(HELIUM_IP, 40.0)
+    width = 1.0 / math.sqrt(params.kappa_tilde)
+    xi = np.linspace(-0.2, 3.2, 2001)
+    grid = sfa.ComplexGrid1D(coordinate_kind="position_xi", coordinates=xi,
+                             values=sfa.psi_position(params, xi, 3.3),
+                             params=params)
+    x_grid = np.linspace(0.0, 3.0, 13) * params.x0
+    p_grid = np.linspace(0.0, 4.0, 11)
+    windows = np.exp(-((xi * params.x0)[None, :] - x_grid[:, None]) ** 2
+                     / (2.0 * width * width))
+    assert np.any((windows > 0.0) & (windows < np.finfo(float).tiny))
+    hg = husimi.husimi_grid(grid, x_grid, p_grid, width)
+    rng = np.random.default_rng(5)
+    for i, j in zip(rng.integers(0, 13, 12), rng.integers(0, 11, 12)):
+        point = husimi.husimi_point(grid, x_grid[i], p_grid[j], width)
+        assert hg.magnitude[i, j] == pytest.approx(point, rel=1e-12)

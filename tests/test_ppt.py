@@ -163,6 +163,19 @@ def test_spectrum_without_any_saddle_raises(monkeypatch):
                      np.linspace(-math.pi, math.pi, 7))
 
 
+def test_saddle_residuals_bound_roots_and_flag_misses():
+    """Each node's residual is the |f| of the root it keeps, under the root
+    filter's 1e-10 (p^2 + 2 ip), and inf where no root was kept."""
+    p_grid = np.linspace(0.05, 4.0 * math.sqrt(2.0 * HELIUM_IP), 40)
+    theta_grid = np.linspace(-math.pi, math.pi, 41)
+    grid = ppt.spectrum(COS4, p_grid, theta_grid)
+    assert 0 < grid.flags.sum() < grid.flags.size
+    resid = grid.saddle_residuals
+    bound = 1e-10 * (p_grid[:, None] ** 2 + 2.0 * HELIUM_IP)
+    assert np.all((resid < bound) | grid.flags)
+    assert np.all(resid[grid.flags] == np.inf)
+
+
 def test_spectrum_reports_newton_work():
     p_grid = np.linspace(0.3, 3.5, 12)
     theta_grid = np.linspace(-math.pi, math.pi, 21)

@@ -109,6 +109,18 @@ def test_square_barrier_envelope():
             variational.scattering_equivalence(1.0, halfwidth, k)
 
 
+def test_phase_derivative_headroom_names_the_callers_qa():
+    """q a = 177 is inside square_barrier's envelope, but the phase
+    derivative also takes the barrier 1e-4 higher, whose q a is 177.013:
+    the error names the caller's q a and the largest one that has room."""
+    k = 0.8
+    halfwidth = 177.0 / math.sqrt(2.0 - k * k)
+    variational.square_barrier(1.0, halfwidth, k)
+    with pytest.raises(DomainError,
+                       match=r"q\*a = 177 .* q\*a <= 176\.987 for it"):
+        variational.scattering_equivalence(1.0, halfwidth, k)
+
+
 def test_hartman_saturation():
     """Opaque-barrier phase time saturates at k/(q V0), independent of a."""
     k, v0 = 0.8, 1.0
