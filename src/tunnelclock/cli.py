@@ -97,8 +97,8 @@ def _husimi(cfg, params):
     xi_dense = np.linspace(-pad, x_max + pad, 4001)
     transform = sfa._converged_transform(
         params, float(np.abs(xi_dense).max()) + 0.1)
-    psi = sfa.ComplexGrid1D(coordinate_kind="position_xi", coordinates=xi_dense,
-                            values=transform.psi(xi_dense), params=params)
+    psi = sfa.ComplexGrid1D(coordinates=params.x0 * xi_dense,
+                            values=transform.psi(xi_dense))
     x_grid = np.linspace(0.0, x_max * params.x0, cfg["n_x"])
     p_grid = np.linspace(0.0, cfg["p_max"], cfg["n_p"])
     hg = husimi_mod.husimi_grid(psi, x_grid, p_grid, width)
@@ -117,7 +117,8 @@ def _larmor(cfg, params):
     # The trace ends beyond the tunnel exit, where it is exactly flat.
     return ["x", "re_tau", "im_tau"], rows, {
         "plateau_re_tau": float(trace.times[-1].real),
-        "transform": sfa._converged_transform(params, 6.0).summary()}
+        "transform": sfa._converged_transform(
+            params, larmor_mod.XI_ABS_MAX).summary()}
 
 
 def _attoclock(cfg, params):
@@ -161,13 +162,18 @@ def _ppt(cfg, _):
             "node_iterations": grid.node_iterations}}
 
 
+def _wronskian_defects(barrier):
+    """|T - T_t| and |R T* + R_t* T|, both 0 for exact scattering states."""
+    return (abs(barrier.t - barrier.t_t),
+            abs(barrier.r * np.conj(barrier.t)
+                + np.conj(barrier.r_t) * barrier.t))
+
+
 def _scattering(cfg, _):
     height, half_width, k = cfg["height"], cfg["half_width"], cfg["wavenumber"]
     barrier = variational.square_barrier(height, half_width, k)
     tau_weak, tau_var = variational.scattering_equivalence(height, half_width, k)
-    w_trans = abs(barrier.t - barrier.t_t)
-    w_refl = abs(barrier.r * np.conj(barrier.t)
-                 + np.conj(barrier.r_t) * barrier.t)
+    w_trans, w_refl = _wronskian_defects(barrier)
     rows = [["re_tau_weak", tau_weak.real],
             ["im_tau_weak", tau_weak.imag],
             ["tau_variational", tau_var],
@@ -202,11 +208,8 @@ def _validate(cfg, params):
     tau_weak, tau_var = variational.scattering_equivalence(1.0, 1.0, 0.8)
     checks.append(("weak_vs_variational_time",
                    abs(tau_weak.real - tau_var) / abs(tau_var), 1e-6))
-    barrier = variational.square_barrier(1.0, 1.0, 0.8)
-    checks.append(("scattering_wronskian",
-                   max(abs(barrier.t - barrier.t_t),
-                       abs(barrier.r * np.conj(barrier.t)
-                           + np.conj(barrier.r_t) * barrier.t)), 1e-12))
+    checks.append(("scattering_wronskian", max(_wronskian_defects(
+        variational.square_barrier(1.0, 1.0, 0.8))), 1e-12))
 
     rows = [[name, value, tol, "pass" if value <= tol else "fail"]
             for name, value, tol in checks]

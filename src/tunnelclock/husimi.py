@@ -34,13 +34,6 @@ class PhaseSpaceGrid:
             raise DomainError("magnitudes must be non-negative")
 
 
-def _physical_positions(psi: ComplexGrid1D) -> np.ndarray:
-    """Physical x samples of a position-space grid (coordinates are xi = x/x0)."""
-    if psi.coordinate_kind != "position_xi":
-        raise DomainError("husimi maps require a position-space grid")
-    return psi.coordinates * psi.params.x0
-
-
 def _check_coverage(xs: np.ndarray, x: float, width: float) -> None:
     lo, hi = xs[0], xs[-1]
     if x - 6.0 * width < lo or x + 6.0 * width > hi:
@@ -53,7 +46,7 @@ def husimi_point(psi: ComplexGrid1D, x: float, p: float, width: float) -> float:
     """|<g_{x,p}|psi>| by trapezoid quadrature on the psi grid."""
     if width <= 0.0:
         raise DomainError("width must be positive")
-    xs = _physical_positions(psi)
+    xs = psi.coordinates
     _check_coverage(xs, x, width)
     g = ((1.0 / (np.pi * width * width)) ** 0.25
          * np.exp(-((xs - x) ** 2) / (2.0 * width * width) + 1j * p * xs))
@@ -78,7 +71,7 @@ def husimi_grid(psi: ComplexGrid1D, x_grid, p_grid, width: float) -> PhaseSpaceG
         raise DomainError("grids must be finite")
     if not 0.0 < width < np.inf:
         raise DomainError("width must be finite and positive")
-    xs = _physical_positions(psi)
+    xs = psi.coordinates
     _check_coverage(xs, float(x_grid.min()), width)
     _check_coverage(xs, float(x_grid.max()), width)
     norm = (1.0 / (np.pi * width * width)) ** 0.25

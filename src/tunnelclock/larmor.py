@@ -21,6 +21,10 @@ from .model import ModelParams
 
 # Odd number of points of the dense Simpson grid over the barrier [0, x0].
 _SIMPSON_POINTS = 513
+# |xi| range of the numeric transform behind the trace and its prefactor.
+XI_ABS_MAX = 6.0
+# Centre of the oscillation period that scaling_factor_limit averages over.
+_LIMIT_XI = 40.0
 
 
 @dataclass(frozen=True)
@@ -29,7 +33,6 @@ class TimeTrace:
 
     positions: np.ndarray  # x in a.u., strictly increasing, starts at 0
     times: np.ndarray      # complex; Re = precession time, Im = alignment
-    params: ModelParams
 
     def __post_init__(self):
         x = np.asarray(self.positions, dtype=float)
@@ -61,10 +64,9 @@ def _asymptotic_prefactor(params: ModelParams, source: str) -> complex:
     """
     k = params.kappa
     if source == "saddle":
-        return 1j * math.sqrt(2.0) * math.pi * params.x0 * k ** (-5.0 / 6.0) \
-            * math.exp(-2.0 * k / 3.0)
+        return sfa._saddle_prefactor(params)
     if source == "numeric":
-        transform = sfa._converged_transform(params, 6.0)
+        transform = sfa._converged_transform(params, XI_ABS_MAX)
         return (4.0 * params.x0 / k) * transform.i_infinity \
             * math.pi * k ** (-1.0 / 3.0) / math.sqrt(2.0 * math.pi)
     raise DomainError(f"unknown initial-state source {source!r}")
@@ -82,12 +84,11 @@ def scaling_factor(params: ModelParams, source: str = "numeric") -> complex:
     return 2.0 ** (2.0 / 3.0) * math.pi / (params.field ** (1.0 / 3.0) * c)
 
 
-def scaling_factor_limit(params: ModelParams, source: str = "saddle",
-                         xi_eval: float = 40.0) -> complex:
+def scaling_factor_limit(params: ModelParams, source: str = "saddle") -> complex:
     """Direct numeric evaluation of the defining limit of sigma.
 
     Averages v(xi) psi_f(xi) psi_i(xi) over one local Airy oscillation
-    period centred at xi_eval (the numeric analogue of dropping the
+    period centred at xi = _LIMIT_XI (the numeric analogue of dropping the
     oscillatory terms) and inverts the average.
     """
     k = params.kappa
@@ -95,15 +96,15 @@ def scaling_factor_limit(params: ModelParams, source: str = "saddle",
         def psi_i(xi):
             return sfa.psi_position_saddle(params, xi)
     else:
-        transform = sfa._converged_transform(params, max(xi_eval + 2.0, 6.0))
+        transform = sfa._converged_transform(params, _LIMIT_XI + 2.0)
 
         def psi_i(xi):
             return transform.psi(xi)
 
     # Local oscillation period of Ai(kappa^{2/3}(1-xi)): phase
     # (2/3) kappa (xi-1)^{3/2} advances by 2 pi over delta below.
-    delta = 2.0 * math.pi / (k * math.sqrt(xi_eval - 1.0))
-    xi = np.linspace(xi_eval - 0.5 * delta, xi_eval + 0.5 * delta, 257)
+    delta = 2.0 * math.pi / (k * math.sqrt(_LIMIT_XI - 1.0))
+    xi = np.linspace(_LIMIT_XI - 0.5 * delta, _LIMIT_XI + 0.5 * delta, 257)
     v = params.kappa_tilde * np.sqrt(xi)
     product = v * final_state(params, xi) * psi_i(xi)
     mean = np.trapezoid(product, xi) / delta
@@ -130,7 +131,7 @@ def larmor_time_trace(params: ModelParams, x_max: float, n: int = 64,
     if source == "saddle":
         psi_i = sfa.psi_position_saddle(params, xi_dense)
     else:
-        psi_i = sfa._converged_transform(params, 6.0).psi(xi_dense)
+        psi_i = sfa._converged_transform(params, XI_ABS_MAX).psi(xi_dense)
     integrand = final_state(params, xi_dense) * psi_i
 
     # Cumulative Simpson on the uniform dense grid (composite over pairs,
@@ -148,7 +149,7 @@ def larmor_time_trace(params: ModelParams, x_max: float, n: int = 64,
         np.interp(xi_pos, xi_dense, cum.real)
         + 1j * np.interp(xi_pos, xi_dense, cum.imag))
     times[0] = 0.0
-    return TimeTrace(positions=positions, times=times, params=params)
+    return TimeTrace(positions=positions, times=times)
 
 
 def plateau_time(params: ModelParams, source: str = "numeric") -> complex:

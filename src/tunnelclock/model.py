@@ -69,15 +69,9 @@ def classical_trajectory(params: ModelParams, t: float) -> tuple[float, float]:
     return x, v
 
 
-def classical_velocity(params: ModelParams, x: float, asymptotic: bool = False) -> float:
-    """Velocity at position x on the released trajectory.
-
-    The exact form is sqrt(2*field*(x - x0)). With asymptotic=True returns
-    sqrt(2*ip*xi), the large-distance form used by the scaling-factor limit.
-    """
-    xi = x / params.x0
-    if asymptotic:
-        return math.sqrt(2.0 * params.ip * xi)
+def classical_velocity(params: ModelParams, x: float) -> float:
+    """Velocity sqrt(2*field*(x - x0)) at position x on the released
+    trajectory (0 before the exit)."""
     return math.sqrt(max(0.0, 2.0 * params.field * (x - params.x0)))
 
 

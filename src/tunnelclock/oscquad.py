@@ -64,6 +64,8 @@ _PANEL_WIDTH = 0.5
 _PANEL_TURN = 10.0
 _BLOCK = 1 << 16
 MAX_PANELS = 1 << 24
+# A declared pole closer than this to the rotated tail ray is refused.
+_POLE_CLEARANCE = 0.5
 
 
 @dataclass(frozen=True)
@@ -169,7 +171,6 @@ def tail_split_point(kappa: float, w: float, lower: float) -> float:
 def cubic_phase_integral(kappa: float, w: float, lower=0.0,
                          g: Callable | None = None,
                          poles: Sequence[complex] = (),
-                         exclusion_radius: float = 0.5,
                          rotation: float = -math.pi / 6.0):
     """integral_{lower}^{infty} g(u) exp(-i kappa (u^3/3 + w u)) du.
 
@@ -206,10 +207,10 @@ def cubic_phase_integral(kappa: float, w: float, lower=0.0,
         # Distance from p to the ray {u_split + s*direction, s >= 0}.
         rel = (p - u_split) / direction
         dist = abs(rel.imag) if rel.real >= 0.0 else abs(p - u_split)
-        if dist < exclusion_radius:
+        if dist < _POLE_CLEARANCE:
             raise ContourCrossingError(
                 f"rotated tail ray passes within {dist:.3g} of pole {p} "
-                f"(exclusion radius {exclusion_radius:g})")
+                f"(exclusion radius {_POLE_CLEARANCE:g})")
 
     # Panel count n(u) = c3 u^3 + c1 u: the edges sit at its integer steps,
     # so no panel is wider than _PANEL_WIDTH or turns more than _PANEL_TURN.

@@ -55,7 +55,6 @@ class SaddlePoint:
 
     t_s: complex
     residual: float
-    branch: int
 
 
 def _envelope(pulse: PulseParams, blend: float = 1.0) -> np.ndarray:
@@ -98,17 +97,23 @@ def saddle_function(pulse: PulseParams, p, theta, t):
     return _saddle_terms(_envelope(pulse), pulse, p, np.exp(-1j * theta), y)[0]
 
 
-def saddle_analytic(pulse: PulseParams, p: float, theta: float,
-                    branch: int = 0) -> SaddlePoint:
-    """Closed-form constant-envelope saddle: w t_i = theta + 2 pi N,
-    w tau = arcosh((p^2 + A0^2 + 2 ip) / (2 p A0))."""
+def _constant_saddle(pulse: PulseParams, p, theta, n):
+    """Constant-envelope saddle of cycle n: w t_i = theta + 2 pi n,
+    w tau = arcosh((p^2 + A0^2 + 2 ip) / (2 p A0)), whose argument is > 1
+    since p^2 + A0^2 >= 2 p A0."""
+    arg = (p * p + pulse.a0 ** 2 + 2.0 * pulse.ip) / (2.0 * p * pulse.a0)
+    return ((theta + 2.0 * math.pi * n) / pulse.omega
+            + 1j * np.arccosh(arg) / pulse.omega)
+
+
+def saddle_analytic(pulse: PulseParams, p: float, theta: float) -> SaddlePoint:
+    """Closed-form constant-envelope saddle of the cycle n = 0."""
     p, theta = map(float, _finite(p, theta))
     if _envelope(pulse)[0] or p <= 0.0:
         raise DomainError("analytic saddle needs the constant envelope, p > 0")
-    arg = (p * p + pulse.a0 ** 2 + 2.0 * pulse.ip) / (2.0 * p * pulse.a0)
-    t_s = complex(theta + 2.0 * math.pi * branch, math.acosh(arg)) / pulse.omega
+    t_s = complex(_constant_saddle(pulse, p, theta, 0))
     res = abs(complex(saddle_function(pulse, p, theta, t_s)))
-    return SaddlePoint(t_s=t_s, residual=res, branch=branch)
+    return SaddlePoint(t_s=t_s, residual=res)
 
 
 def _newton_roots(pulse: PulseParams, p, theta, seeds):
@@ -116,8 +121,8 @@ def _newton_roots(pulse: PulseParams, p, theta, seeds):
     in homotopy steps.  At each step a node stops at its first |step| <
     1e-14 (1 + |t|), or after 60, so its root does not depend on the grid
     (<= 2e-15).  Returns the end points (NaN at NaN seeds; `spectrum` drops
-    those that are no root), the passes over the live set and the steps
-    summed over nodes."""
+    those that are no root), their residuals |f| (inf at NaN seeds), the
+    passes over the live set and the steps summed over nodes."""
     start = np.isfinite(seeds)
     t = seeds[start]
     p = np.broadcast_to(p, seeds.shape)[start]
@@ -146,9 +151,11 @@ def _newton_roots(pulse: PulseParams, p, theta, seeds):
                     live, tl = live[going], tl[going]
                     pl, rl = pl[going], rl[going]
             t[live] = tl
+        resid = np.full(seeds.shape, np.inf)
+        resid[start] = np.abs(saddle_function(pulse, p, theta, t))
     ends = np.full(seeds.shape, _NAN)
     ends[start] = t
-    return ends, sweeps, steps
+    return ends, resid, sweeps, steps
 
 
 def _select(roots, resid, theta, omega: float):
@@ -168,13 +175,6 @@ def _select(roots, resid, theta, omega: float):
     sel = np.take_along_axis(roots, pick, axis=0)[0]
     return sel, np.where(np.isnan(sel), np.inf,
                          np.take_along_axis(resid, pick, axis=0)[0])
-
-
-def saddle_numeric(pulse: PulseParams, p: float, theta: float) -> SaddlePoint:
-    """The saddle `spectrum` selects at (p, theta): its 1x1 grid."""
-    grid = spectrum(pulse, [p], [theta])
-    return SaddlePoint(t_s=complex(grid.saddle_times[0, 0]),
-                       residual=float(grid.saddle_residuals[0, 0]), branch=0)
 
 
 def action_im(pulse: PulseParams, p, theta, t_s):
@@ -218,28 +218,20 @@ class SpectrumGrid:
 def spectrum(pulse: PulseParams, p_grid, theta_grid) -> SpectrumGrid:
     """Single-saddle spectrum weights = exp(2 Im S), normalized to max 1.
 
-    At each node Newton starts from the constant-envelope saddles with
-    N in {-1, 0, 1} and |Re t| <= 2 pi / w, switches the cos4 envelope on in
-    homotopy steps (`_newton_roots`), keeps the end points with |f| <
-    1e-10 (p^2 + 2 ip) as roots, and of those the one `_select` picks.
+    At each node Newton starts from the constant-envelope saddles of the
+    cycles n in {-1, 0, 1} with |Re t| <= 2 pi / w, switches the cos4
+    envelope on in homotopy steps (`_newton_roots`), keeps the end points
+    with |f| < 1e-10 (p^2 + 2 ip) as roots, and of those the one `_select`
+    picks.
     """
     p_grid, theta_grid = _finite(p_grid, theta_grid)
     if p_grid.size == 0 or theta_grid.size == 0 or not np.all(p_grid > 0.0):
         raise DomainError("grids must be non-empty, with p > 0")
     pp, tt = np.meshgrid(p_grid, theta_grid, indexing="ij")
-    # arcosh argument > 1, since p^2 + A0^2 >= 2 p A0
-    arg = (pp * pp + pulse.a0 ** 2 + 2.0 * pulse.ip) / (2.0 * pp * pulse.a0)
-    branch = np.array([-1.0, 0.0, 1.0])[:, None, None]
-    t_i0 = (tt + 2.0 * math.pi * branch) / pulse.omega
-    seeds = np.where(np.abs(t_i0) <= 2.0 * math.pi / pulse.omega,
-                     t_i0 + 1j * np.arccosh(arg) / pulse.omega, _NAN)
-    ends, sweeps, steps = _newton_roots(pulse, pp, tt, seeds)
-    found = ~np.isnan(ends)
-    resid = np.full(ends.shape, np.inf)
-    with np.errstate(all="ignore"):  # iterates that diverged
-        resid[found] = np.abs(saddle_function(
-            pulse, np.broadcast_to(pp, ends.shape)[found],
-            np.broadcast_to(tt, ends.shape)[found], ends[found]))
+    cycles = np.array([-1.0, 0.0, 1.0])[:, None, None]
+    seeds = _constant_saddle(pulse, pp, tt, cycles)
+    seeds[np.abs(seeds.real) > 2.0 * math.pi / pulse.omega] = _NAN
+    ends, resid, sweeps, steps = _newton_roots(pulse, pp, tt, seeds)
     roots = np.where(resid < 1e-10 * (pp * pp + 2.0 * pulse.ip), ends, _NAN)
     sel, resid = _select(roots, resid, tt, pulse.omega)
     flags = np.isnan(sel)

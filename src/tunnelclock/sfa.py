@@ -26,18 +26,14 @@ OVERLAP_POLES = (1j, -1j)
 
 @dataclass(frozen=True)
 class ComplexGrid1D:
-    """Sampled complex-valued function of one real coordinate."""
+    """Complex wavefunction sampled at physical positions x (a.u.)."""
 
-    coordinate_kind: str  # "momentum_u" | "position_xi" | "time"
     coordinates: np.ndarray
     values: np.ndarray
-    params: ModelParams
 
     def __post_init__(self):
         c = np.asarray(self.coordinates, dtype=float)
         v = np.asarray(self.values, dtype=complex)
-        if self.coordinate_kind not in ("momentum_u", "position_xi", "time"):
-            raise DomainError(f"unknown coordinate kind {self.coordinate_kind!r}")
         if c.ndim != 1 or v.shape != c.shape:
             raise DomainError("coordinates and values must be matching 1D arrays")
         if not np.all(np.diff(c) > 0.0):
@@ -98,16 +94,21 @@ def psi_momentum_saddle(params: ModelParams, u: float) -> complex:
     return pref * complex(np.exp(-1j * params.kappa * (u ** 3 / 3.0 + u)))
 
 
+def _saddle_prefactor(params: ModelParams) -> complex:
+    """i sqrt(2) pi x0 kappa^{-5/6} e^{-2k/3}: psi_position_saddle's factor."""
+    k = params.kappa
+    return 1j * math.sqrt(2.0) * math.pi * params.x0 * k ** (-5.0 / 6.0) \
+        * math.exp(-2.0 * k / 3.0)
+
+
 def psi_position_saddle(params: ModelParams, xi):
     """Fourier transform of the saddle form: Airy/Scorer closed expression.
 
     psi_S(xi) = i sqrt(2) pi x0 kappa^{-5/6} e^{-2k/3}
                 * [Ai - i Gi](kappa^{2/3} (1 - xi))
     """
-    k = params.kappa
-    pref = 1j * math.sqrt(2.0) * math.pi * params.x0 * k ** (-5.0 / 6.0) \
-        * math.exp(-2.0 * k / 3.0)
-    arg = k ** (2.0 / 3.0) * (1.0 - np.asarray(xi, dtype=float))
+    pref = _saddle_prefactor(params)
+    arg = params.kappa ** (2.0 / 3.0) * (1.0 - np.asarray(xi, dtype=float))
     out = pref * (specfun.ai_real(arg) - 1j * specfun.scorer_gi(arg))
     return complex(out) if np.isscalar(xi) else out
 

@@ -50,8 +50,8 @@ def test_criterion_01_constant_envelope_saddle_oracle():
         for p in p_values:
             for theta in theta_values:
                 analytic = ppt.saddle_analytic(pulse, p, theta)
-                numeric = ppt.saddle_numeric(pulse, p, theta)
-                err = abs(numeric.t_s - analytic.t_s) / abs(analytic.t_s)
+                numeric = ppt.spectrum(pulse, [p], [theta]).saddle_times[0, 0]
+                err = abs(numeric - analytic.t_s) / abs(analytic.t_s)
                 worst = max(worst, err)
     _report(1, "constant-envelope saddle oracle", worst <= 1e-10,
             f"max rel err {worst:.2e} over 600 (p, theta) points, "
@@ -275,8 +275,7 @@ def test_criterion_11_husimi_ridge_follows_classical_momentum():
     xi_dense = np.linspace(-pad, 6.0 + pad, 4001)
     values = sfa.psi_position(params, xi_dense,
                               xi_abs_max=float(np.abs(xi_dense).max()) + 0.1)
-    psi = sfa.ComplexGrid1D(coordinate_kind="position_xi",
-                            coordinates=xi_dense, values=values, params=params)
+    psi = sfa.ComplexGrid1D(coordinates=params.x0 * xi_dense, values=values)
 
     p_classical = np.sqrt(2.0 * params.field * (x_points - params.x0))
     worst, ok = 0.0, True

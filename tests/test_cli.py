@@ -151,6 +151,12 @@ def test_variational_sidecar_records_dv_once(tmp_path):
     assert "tolerances" not in side
 
 
+def test_unstable_variational_time_exits_3_and_writes_nothing(tmp_path):
+    out = tmp_path / "v.csv"
+    assert run_cli(["variational", "--kappa", "50", "--out", str(out)]) == 3
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_entry_point_installed():
     proc = subprocess.run([sys.executable, "-m", "tunnelclock.cli", "-h"],
                           capture_output=True, text=True)

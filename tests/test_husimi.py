@@ -13,10 +13,8 @@ PARAMS = params_from_kappa(HELIUM_IP, 2.0)
 
 
 def _position_grid(xi, values):
-    return sfa.ComplexGrid1D(coordinate_kind="position_xi",
-                             coordinates=np.asarray(xi, dtype=float),
-                             values=np.asarray(values, dtype=complex),
-                             params=PARAMS)
+    return sfa.ComplexGrid1D(coordinates=PARAMS.x0 * np.asarray(xi, dtype=float),
+                             values=np.asarray(values, dtype=complex))
 
 
 def _gaussian_packet(xs, x0, p0, width):
@@ -93,14 +91,6 @@ def test_width_must_be_positive():
         husimi.husimi_grid(g, np.array([0.0, math.nan]), np.array([0.0]), 0.5)
 
 
-def test_grid_requires_position_kind():
-    g = sfa.ComplexGrid1D(coordinate_kind="momentum_u",
-                          coordinates=np.linspace(-1, 1, 11),
-                          values=np.zeros(11, dtype=complex), params=PARAMS)
-    with pytest.raises(DomainError):
-        husimi.husimi_point(g, 0.0, 0.0, 0.5)
-
-
 def test_ridge_monotone_approach_to_classical():
     """Deviation from sqrt(2F(x - x0)) shrinks with increasing x."""
     width = 1.0 / math.sqrt(PARAMS.kappa_tilde)
@@ -141,9 +131,8 @@ def test_grid_matches_point_where_windows_hold_subnormals():
     params = params_from_kappa(HELIUM_IP, 40.0)
     width = 1.0 / math.sqrt(params.kappa_tilde)
     xi = np.linspace(-0.2, 3.2, 2001)
-    grid = sfa.ComplexGrid1D(coordinate_kind="position_xi", coordinates=xi,
-                             values=sfa.psi_position(params, xi, 3.3),
-                             params=params)
+    grid = sfa.ComplexGrid1D(coordinates=params.x0 * xi,
+                             values=sfa.psi_position(params, xi, 3.3))
     x_grid = np.linspace(0.0, 3.0, 13) * params.x0
     p_grid = np.linspace(0.0, 4.0, 11)
     windows = np.exp(-((xi * params.x0)[None, :] - x_grid[:, None]) ** 2

@@ -61,7 +61,7 @@ def test_trace_exactly_flat_beyond_barrier():
 def test_trace_validation():
     with pytest.raises(DomainError):
         larmor.TimeTrace(positions=np.array([0.5, 1.0]),
-                         times=np.array([0j, 1j]), params=PARAMS)
+                         times=np.array([0j, 1j]))
 
 
 def test_invalid_source_rejected():

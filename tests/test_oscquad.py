@@ -113,8 +113,7 @@ def test_pole_near_contour_raises():
     with pytest.raises(ContourCrossingError):
         oscquad.cubic_phase_integral(3.0, 1.0, lower=-2.0,
                                      g=lambda u: 1.0 / (u - pole),
-                                     poles=(pole,),
-                                     exclusion_radius=0.5)
+                                     poles=(pole,))
 
 
 def test_tail_split_point_properties():

@@ -36,8 +36,8 @@ def test_numeric_matches_analytic_on_constant_envelope():
     for p in (0.3, 0.9, 2.0):
         for theta in (-2.0, 0.0, 1.3):
             sa = ppt.saddle_analytic(CONST, p, theta)
-            sn = ppt.saddle_numeric(CONST, p, theta)
-            assert abs(sa.t_s - sn.t_s) <= 1e-10
+            sn = ppt.spectrum(CONST, [p], [theta]).saddle_times[0, 0]
+            assert abs(sa.t_s - sn) <= 1e-10
 
 
 def test_action_against_closed_form_constant_envelope():
@@ -77,7 +77,7 @@ def test_action_against_mpmath_line_integral_cos4():
         for gamma, p, theta in itertools.product(
                 (0.5, 1.0), (0.3, 1.5, 3.5), (-2.9, 0.4, 1.7, math.pi)):
             pulse = ppt.pulse_from_gamma(HELIUM_IP, 0.569, gamma)
-            t_s = ppt.saddle_numeric(pulse, p, theta).t_s
+            t_s = complex(ppt.spectrum(pulse, [p], [theta]).saddle_times[0, 0])
             exact = _action_by_mpmath(mpmath, pulse, p, theta, t_s)
             assert abs(ppt.action_im(pulse, p, theta, t_s) - exact) <= 1e-14
 
@@ -91,8 +91,8 @@ def test_conjugate_root_theorem_realization():
     """The saddle at -theta is the negated conjugate of the one at theta."""
     for p in (0.8, 1.5):
         for theta in (0.4, 1.3, 2.7, math.pi):
-            a = ppt.saddle_numeric(COS4, p, theta).t_s
-            b = ppt.saddle_numeric(COS4, p, -theta).t_s
+            a = ppt.spectrum(COS4, [p], [theta]).saddle_times[0, 0]
+            b = ppt.spectrum(COS4, [p], [-theta]).saddle_times[0, 0]
             assert abs(b - (-a.conjugate())) <= 1e-10
 
 
@@ -131,15 +131,6 @@ def test_node_saddle_does_not_depend_on_grid(gamma, p_lo, theta_lo, i, j):
     assert abs(one.saddle_times[0, 0] - grid.saddle_times[i, j]) <= 1e-12
 
 
-def test_saddle_numeric_is_the_one_node_spectrum():
-    for p in (0.4, 1.1, 2.6):
-        for theta in (-2.9, -0.3, 0.0, 1.7):
-            sp = ppt.saddle_numeric(COS4, p, theta)
-            grid = ppt.spectrum(COS4, [p], [theta])
-            assert sp.t_s == grid.saddle_times[0, 0]
-            assert sp.residual == grid.saddle_residuals[0, 0]
-
-
 def test_spectrum_mirror_symmetry_at_next_lobe_input():
     """At these gammas and grid a node once converged to a root in the next
     cos^4 lobe and broke the mirror symmetry by 0.037 and 0.042."""
@@ -154,10 +145,10 @@ def test_spectrum_mirror_symmetry_at_next_lobe_input():
 
 
 def test_spectrum_without_any_saddle_raises(monkeypatch):
-    def no_roots(pulse, p, theta, seeds):
-        return np.full(np.shape(seeds), np.nan + 1j * np.nan), 0, 0
+    def nowhere_zero(pulse, p, theta, t):
+        return np.ones(np.shape(t), dtype=complex)
 
-    monkeypatch.setattr(ppt, "_newton_roots", no_roots)
+    monkeypatch.setattr(ppt, "saddle_function", nowhere_zero)
     with pytest.raises(NonConvergenceError):
         ppt.spectrum(COS4, np.linspace(0.3, 3.0, 5),
                      np.linspace(-math.pi, math.pi, 7))

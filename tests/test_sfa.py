@@ -129,13 +129,8 @@ def test_position_transform_uniform_fast_path_consistency():
 
 def test_complex_grid_validation():
     with pytest.raises(DomainError):
-        sfa.ComplexGrid1D(coordinate_kind="bogus",
-                          coordinates=np.array([0.0, 1.0]),
-                          values=np.array([0j, 1j]), params=PARAMS)
-    with pytest.raises(DomainError):
-        sfa.ComplexGrid1D(coordinate_kind="position_xi",
-                          coordinates=np.array([1.0, 0.0]),
-                          values=np.array([0j, 1j]), params=PARAMS)
+        sfa.ComplexGrid1D(coordinates=np.array([1.0, 0.0]),
+                          values=np.array([0j, 1j]))
 
 
 def test_bound_overlap_odd_and_decaying():

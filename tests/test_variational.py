@@ -71,6 +71,14 @@ def test_variational_time_positive_and_stable():
     assert tau2 == pytest.approx(tau, rel=1e-3)
 
 
+@pytest.mark.parametrize("kappa", [50.0, 60.0])
+def test_variational_time_unstable_under_dv_halving_raises(kappa):
+    """Halving dv moves tau by far more than 1 % here: -147.37 -> 208.75 at
+    kappa 50 (3.03 at kappa 45), 112574 -> -0 at kappa 60."""
+    with pytest.raises(NonConvergenceError, match="unstable under dv halving"):
+        variational.larmor_time_variational(params_from_kappa(HELIUM_IP, kappa))
+
+
 def test_square_barrier_unitarity_and_wronskians():
     for (v0, a, k) in [(1.0, 1.0, 0.8), (2.5, 0.7, 1.2), (0.9, 2.0, 0.5)]:
         b = variational.square_barrier(v0, a, k)
@@ -134,9 +142,13 @@ def test_hartman_saturation():
     assert abs(times[2] - times[1]) < abs(times[1] - times[0])
 
 
-def test_nonconvergence_reported():
+def test_nonconvergence_reported(monkeypatch):
+    """A determinant without a zero (e^E) runs Newton out of steps."""
+    monkeypatch.setattr(variational, "consistency_determinant",
+                        lambda params, energy, dv=0.0: cmath.exp(energy))
+    variational.find_resonance.cache_clear()  # PARAMS may be cached
     with pytest.raises(NonConvergenceError):
-        variational.find_resonance(PARAMS, start=10.0 + 0j, max_iter=3)
+        variational.find_resonance(PARAMS)
 
 
 @pytest.mark.parametrize("height, halfwidth, k", [(1.0, 1.0, 0.8),
