@@ -67,35 +67,6 @@ def attoclock_time(params: ModelParams, u: float) -> float:
     return float(_weak_delay(params, float(u)))
 
 
-def attoclock_time_via_delay(params: ModelParams, u: float) -> float:
-    """Same observable assembled in the ionization-time domain.
-
-    Integrates over the field-on time t_D with the bound-state coupling
-    matrix element, forms the mean delay <t_D>, and subtracts the drift
-    p/F explicitly.  Cross-check for the scaled-momentum form.
-    """
-    kt = params.kappa_tilde
-    p_det = kt * u
-
-    def coupling(up):
-        # matrix element as a function of u'(t_D); constants cancel in the
-        # ratio, kept for fidelity to the time-domain reading.
-        return sfa.bound_overlap(params, up)
-
-    def g_num(up):
-        # t_D * coupling with t_D = (kappa_tilde*u' + p)/F
-        return (kt * up + p_det) / params.field * coupling(up)
-
-    num = oscquad.cubic_phase_integral(
-        params.kappa, 1.0, lower=-float(u), g=g_num, poles=sfa.OVERLAP_POLES)
-    den = oscquad.cubic_phase_integral(
-        params.kappa, 1.0, lower=-float(u), g=coupling, poles=sfa.OVERLAP_POLES)
-    if abs(den) < 1e-300:
-        raise DegenerateDenominatorError(
-            f"ionization amplitude underflows at u = {u}")
-    return float((num / den).real) - p_det / params.field
-
-
 def asymptotic_parity_split(params: ModelParams):
     """Even/odd bookkeeping of the u -> infinity integrals.
 

@@ -44,8 +44,10 @@ def _check_coverage(xs: np.ndarray, x: float, width: float) -> None:
 
 def husimi_point(psi: ComplexGrid1D, x: float, p: float, width: float) -> float:
     """|<g_{x,p}|psi>| by trapezoid quadrature on the psi grid."""
-    if width <= 0.0:
-        raise DomainError("width must be positive")
+    if not (np.isfinite(x) and np.isfinite(p)):
+        raise DomainError("x and p must be finite")
+    if not 0.0 < width < np.inf:
+        raise DomainError("width must be finite and positive")
     xs = psi.coordinates
     _check_coverage(xs, x, width)
     g = ((1.0 / (np.pi * width * width)) ** 0.25

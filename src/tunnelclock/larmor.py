@@ -23,8 +23,6 @@ from .model import ModelParams
 _SIMPSON_POINTS = 513
 # |xi| range of the numeric transform behind the trace and its prefactor.
 XI_ABS_MAX = 6.0
-# Centre of the oscillation period that scaling_factor_limit averages over.
-_LIMIT_XI = 40.0
 
 
 @dataclass(frozen=True)
@@ -82,33 +80,6 @@ def scaling_factor(params: ModelParams, source: str = "numeric") -> complex:
         raise DomainError(f"scaling factor requires kappa >= 1, got {params.kappa}")
     c = _asymptotic_prefactor(params, source)
     return 2.0 ** (2.0 / 3.0) * math.pi / (params.field ** (1.0 / 3.0) * c)
-
-
-def scaling_factor_limit(params: ModelParams, source: str = "saddle") -> complex:
-    """Direct numeric evaluation of the defining limit of sigma.
-
-    Averages v(xi) psi_f(xi) psi_i(xi) over one local Airy oscillation
-    period centred at xi = _LIMIT_XI (the numeric analogue of dropping the
-    oscillatory terms) and inverts the average.
-    """
-    k = params.kappa
-    if source == "saddle":
-        def psi_i(xi):
-            return sfa.psi_position_saddle(params, xi)
-    else:
-        transform = sfa._converged_transform(params, _LIMIT_XI + 2.0)
-
-        def psi_i(xi):
-            return transform.psi(xi)
-
-    # Local oscillation period of Ai(kappa^{2/3}(1-xi)): phase
-    # (2/3) kappa (xi-1)^{3/2} advances by 2 pi over delta below.
-    delta = 2.0 * math.pi / (k * math.sqrt(_LIMIT_XI - 1.0))
-    xi = np.linspace(_LIMIT_XI - 0.5 * delta, _LIMIT_XI + 0.5 * delta, 257)
-    v = params.kappa_tilde * np.sqrt(xi)
-    product = v * final_state(params, xi) * psi_i(xi)
-    mean = np.trapezoid(product, xi) / delta
-    return 1.0 / complex(mean)
 
 
 def larmor_time_trace(params: ModelParams, x_max: float, n: int = 64,

@@ -49,14 +49,6 @@ def pulse_from_gamma(ip: float, omega: float, gamma: float,
     return PulseParams(a0=a0, omega=omega, ip=ip, gamma=gamma, envelope=envelope)
 
 
-@dataclass(frozen=True)
-class SaddlePoint:
-    """Complex ionization time t_s = t_i + i tau."""
-
-    t_s: complex
-    residual: float
-
-
 def _envelope(pulse: PulseParams, blend: float = 1.0) -> np.ndarray:
     """(a_-2, ..., a_2) of A0(t) = sum_j a_j y^j, y = exp(i w t / 2), at
     homotopy blend b: a0 (1 - b + b cos^4(w t / 4)), with cos^4(w t / 4) =
@@ -104,16 +96,6 @@ def _constant_saddle(pulse: PulseParams, p, theta, n):
     arg = (p * p + pulse.a0 ** 2 + 2.0 * pulse.ip) / (2.0 * p * pulse.a0)
     return ((theta + 2.0 * math.pi * n) / pulse.omega
             + 1j * np.arccosh(arg) / pulse.omega)
-
-
-def saddle_analytic(pulse: PulseParams, p: float, theta: float) -> SaddlePoint:
-    """Closed-form constant-envelope saddle of the cycle n = 0."""
-    p, theta = map(float, _finite(p, theta))
-    if _envelope(pulse)[0] or p <= 0.0:
-        raise DomainError("analytic saddle needs the constant envelope, p > 0")
-    t_s = complex(_constant_saddle(pulse, p, theta, 0))
-    res = abs(complex(saddle_function(pulse, p, theta, t_s)))
-    return SaddlePoint(t_s=t_s, residual=res)
 
 
 def _newton_roots(pulse: PulseParams, p, theta, seeds):

@@ -1,10 +1,11 @@
 """Strong-field-approximation solution of the 1D static-field model.
 
-Provides the exact momentum-space wavefunction as a cubic-phase integral,
-its numeric Fourier transform to position space, and the closed saddle-point
-forms used as analytic cross-checks.  The global phase exp(i*ip*t) of the
-stationary solution is dropped throughout; only relative phases enter the
-time observables.
+Provides the ionization integral behind the exact momentum-space
+wavefunction, its numeric Fourier transform to position space
+(psi_position), and the closed saddle-point forms (amplitude_A,
+psi_position_saddle) used as analytic cross-checks.  The global phase
+exp(i*ip*t) of the stationary solution is dropped throughout; only
+relative phases enter the time observables.
 """
 
 from __future__ import annotations
@@ -51,17 +52,6 @@ def _overlap_g(u):
     return u / (u * u + 1.0) ** 2
 
 
-def bound_overlap(params: ModelParams, u_prime):
-    """Length-gauge coupling of the bound state to the momentum u'.
-
-    Closed form F*x0^2/(i*kappa^2) * 4u'/(u'^2+1)^2; odd in u'.
-    """
-    u_prime = np.asarray(u_prime, dtype=complex)
-    pref = params.field * params.x0 ** 2 / (1j * params.kappa ** 2)
-    val = pref * 4.0 * _overlap_g(u_prime)
-    return complex(val) if val.ndim == 0 else val
-
-
 def ionization_integral(params: ModelParams, u):
     """I(u) = integral_{-u}^{infty} dt exp(-i kappa (t^3/3+t)) t/(t^2+1)^2.
 
@@ -72,26 +62,11 @@ def ionization_integral(params: ModelParams, u):
         poles=OVERLAP_POLES)
 
 
-def psi_momentum(params: ModelParams, u: float) -> complex:
-    """Stationary momentum-space wavefunction psi(u) (global phase dropped)."""
-    phase = np.exp(-1j * params.kappa * (u ** 3 / 3.0 + u))
-    return (4.0 * params.x0 / params.kappa) * complex(phase) * ionization_integral(params, u)
-
-
 def amplitude_A(params: ModelParams) -> float:
     """Saddle-point value of the even-part ionization integral."""
     if params.kappa < 1.0:
         raise DomainError(f"amplitude_A requires kappa >= 1, got {params.kappa}")
     return -0.5 * math.sqrt(params.kappa * math.pi) * math.exp(-2.0 * params.kappa / 3.0)
-
-
-def psi_momentum_saddle(params: ModelParams, u: float) -> complex:
-    """Closed saddle form: 2 i x0 sqrt(pi/kappa) e^{-2k/3} e^{-i k phi(u)} theta(u)."""
-    if u < 0.0:
-        return 0j
-    pref = 2j * params.x0 * math.sqrt(math.pi / params.kappa) \
-        * math.exp(-2.0 * params.kappa / 3.0)
-    return pref * complex(np.exp(-1j * params.kappa * (u ** 3 / 3.0 + u)))
 
 
 def _saddle_prefactor(params: ModelParams) -> complex:
@@ -224,6 +199,11 @@ class PositionTransform:
         self.params = params
         self.u_max = float(u_max)
         self.xi_abs_max = float(xi_abs_max)
+        if not (0.0 < self.u_max < math.inf
+                and 0.0 <= self.xi_abs_max < math.inf):
+            raise DomainError(
+                f"need a finite window U > 0 and a finite xi_abs_max >= 0, "
+                f"got U = {self.u_max}, xi_abs_max = {self.xi_abs_max}")
         if self.u_max ** 2 + 1.0 < self.xi_abs_max:
             raise DomainError(
                 f"window U = {self.u_max} must contain the stationary points "

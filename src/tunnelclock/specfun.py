@@ -5,14 +5,11 @@ scipy.special.airy, which is uniformly accurate in all Stokes sectors.
 scipy.special is imported on the first Airy evaluation (`airy`, `ai_real`
 or `scorer_gi` past its input checks), not with this module, so a process
 that never evaluates Airy never loads scipy.
-Two independent in-house representations are kept for validation: the
-Maclaurin series (accurate inside SERIES_RADIUS away from the dominant
-cancellation sector) and the Poincare asymptotic expansions with DLMF
-connection formulas (accurate outside).  Near the positive real axis at
-moderate radius neither plain double-precision representation can reach
-full accuracy by itself -- the series loses e^{2 Re zeta} in cancellation
-while the asymptotic error is ~e^{-2 zeta} -- which is exactly the regime
-the mature library handles by different means.
+The Maclaurin series (_airy_series) is kept as an in-house check of the
+backend for small |z|.  The tests take 30-digit mpmath.airyai/airybi as the
+reference for both: on the circle |z| = SERIES_RADIUS, |arg z| >= pi/3, the
+series is within 7.9e-11 of mpmath relative to max(|Ai|, |Bi|).  Near the
+positive real axis it loses e^{2 Re zeta} to cancellation.
 
 Gi is needed for real argument only.  It is one fixed rule for the
 Scorer integral pi Hi(w) = integral_0^inf exp(-t^3/3 + w t) dt, Re w <= 0
@@ -34,9 +31,9 @@ import numpy as np
 from . import oscquad
 from .errors import DomainError
 
-# Crossover radius between the validation Maclaurin series and asymptotic
-# representations; on this circle (outside the dominant cancellation sector,
-# |arg z| >= pi/3) the two agree to <= 1e-9 relative.
+# Radius out to which the validation Maclaurin series is checked; on this
+# circle, outside the dominant cancellation sector |arg z| < pi/3, it is
+# within 7.9e-11 of mpmath relative to max(|Ai|, |Bi|).
 SERIES_RADIUS = 8.0
 
 # Validity envelopes.
@@ -46,10 +43,6 @@ GI_MAX_ABS = 1.0e3
 _AI0 = 0.3550280538878172392600631860041831763980  # Ai(0) = 3^(-2/3)/Gamma(2/3)
 _AIP0 = -0.2588194037928067984051835601892039634793  # Ai'(0) = -3^(-1/3)/Gamma(1/3)
 _SQRT3 = math.sqrt(3.0)
-
-# Direct-asymptotic sector half-opening; beyond it, connection formulas rotate
-# the argument back toward the anti-Stokes-safe sector.
-_DIRECT_ARG = 0.75 * math.pi
 
 _OMEGA = cmath.exp(2j * math.pi / 3.0)
 
@@ -109,59 +102,6 @@ def _airy_series(z: complex) -> AiryBundle:
     aip = c1 * fp - c2 * gp
     bi = _SQRT3 * (c1 * f + c2 * g)
     bip = _SQRT3 * (c1 * fp + c2 * gp)
-    return AiryBundle(ai=ai, ai_prime=aip, bi=bi, bi_prime=bip)
-
-
-def _ai_asymptotic_direct(z: complex) -> tuple[complex, complex]:
-    """(Ai, Ai') by the Poincare expansion, |arg z| bounded away from pi."""
-    zeta = (2.0 / 3.0) * z ** 1.5
-    # Sums with optimal truncation: u_k and v_k coefficient recurrences.
-    s_ai = 1.0 + 0j
-    s_aip = 1.0 + 0j
-    uk = 1.0
-    term_prev = abs(uk)
-    inv = -1.0 / zeta
-    p = 1.0 + 0j
-    for k in range(1, 60):
-        uk = uk * (6 * k - 5) * (6 * k - 3) * (6 * k - 1) / (216.0 * k * (2 * k - 1))
-        vk = uk * (6 * k + 1) / (1.0 - 6 * k)
-        p = p * inv
-        t_ai = uk * p
-        if abs(t_ai) > term_prev:  # divergence onset: stop at smallest term
-            break
-        s_ai += t_ai
-        s_aip += vk * p
-        term_prev = abs(t_ai)
-        if abs(t_ai) < 1e-18 * abs(s_ai):
-            break
-    pref = cmath.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    z14 = z ** 0.25
-    ai = pref / z14 * s_ai
-    aip = -pref * z14 * s_aip
-    return ai, aip
-
-
-def _ai_asymptotic(z: complex) -> tuple[complex, complex]:
-    """(Ai, Ai') for |z| > SERIES_RADIUS, any sector."""
-    if abs(cmath.phase(z)) <= _DIRECT_ARG:
-        return _ai_asymptotic_direct(z)
-    # Rotate toward the principal sector: Ai(z) = -w*Ai(wz) - w^2*Ai(w^2 z)
-    w = _OMEGA
-    a1, a1p = _ai_asymptotic_direct(z * w)
-    a2, a2p = _ai_asymptotic_direct(z / w)
-    ai = -w * a1 - w.conjugate() * a2
-    aip = -(w * w) * a1p - (w * w).conjugate() * a2p
-    return ai, aip
-
-
-def _airy_asymptotic(z: complex) -> AiryBundle:
-    ai, aip = _ai_asymptotic(z)
-    # Bi(z) = e^{i pi/6} Ai(z w) + e^{-i pi/6} Ai(z/w), w = e^{2 pi i/3}
-    ph = cmath.exp(1j * math.pi / 6.0)
-    b1, b1p = _ai_asymptotic(z * _OMEGA)
-    b2, b2p = _ai_asymptotic(z / _OMEGA)
-    bi = ph * b1 + b2 / ph
-    bip = ph * _OMEGA * b1p + (b2p / ph) / _OMEGA
     return AiryBundle(ai=ai, ai_prime=aip, bi=bi, bi_prime=bip)
 
 

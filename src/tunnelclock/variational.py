@@ -18,17 +18,19 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun
-from .errors import DomainError, NonConvergenceError, NumericalWarning
+from .errors import DomainError, NonConvergenceError
 from .model import ModelParams
 
 # larmor_time_variational fails when halving dv moves tau by more than this.
 _DV_STABILITY_TOL = 0.01
+# ... or when the matching system at the resonance has a smaller ratio of
+# smallest to largest singular value than this.
+_RANK_TOL = 1e-13
 # Largest q*a of a square barrier: e^{-4qa} is still a normal double.
 _MAX_QA = 177.0
 
@@ -87,11 +89,6 @@ def solve_matching(params: ModelParams, energy: complex,
                    dv: float = 0.0) -> MatchingSolution:
     """Least-squares coefficients (A0, B0, AR) and the defect norm."""
     m, rhs = _matching_system(params, energy, dv)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[-1] < 1e-13 * sv[0]:
-        warnings.warn(
-            f"matching system nearly rank-deficient (sv ratio {sv[-1]/sv[0]:.3g})",
-            NumericalWarning, stacklevel=2)
     coeff, *_ = np.linalg.lstsq(m, rhs, rcond=None)
     defect = m @ coeff - rhs
     return MatchingSolution(
@@ -161,7 +158,10 @@ def larmor_time_variational(params: ModelParams,
     The outgoing Airy factor at x = x0 is dV-independent, so the phase of
     the transmitted wave at the exit moves only through AR.  Raises
     NonConvergenceError when halving dv moves tau by more than
-    _DV_STABILITY_TOL relative (above kappa ~ 49 at the default dv).
+    _DV_STABILITY_TOL relative (from kappa = 49 at the default dv), and
+    then when the matching system at the resonance has a singular-value
+    ratio below _RANK_TOL (from kappa = 43.5 at ip = HELIUM_IP: 1.1e-13 at
+    kappa 43, 2.9e-14 at 45, 1.6e-16 at 52.75).
     """
     if dv is None:
         dv = 1e-5 * params.ip
@@ -178,6 +178,11 @@ def larmor_time_variational(params: ModelParams,
         raise NonConvergenceError(
             f"variational time unstable under dv halving "
             f"({coarse:.6g} -> {fine:.6g})")
+    sv = np.linalg.svd(_matching_system(params, e0, 0.0)[0], compute_uv=False)
+    if not sv[-1] >= _RANK_TOL * sv[0]:
+        raise NonConvergenceError(
+            f"matching system at the resonance is rank-deficient "
+            f"(sv ratio {sv[-1] / sv[0]:.3g} < {_RANK_TOL:g})")
     return fine
 
 
@@ -203,11 +208,6 @@ class SquareBarrier:
     c_p: complex
     d_p: complex
     t_t: complex
-
-    def psi_initial(self, x):
-        """Left-incident solution evaluated inside the barrier."""
-        x = np.asarray(x, dtype=complex)
-        return self.c * np.exp(self.q * x) + self.d * np.exp(-self.q * x)
 
 
 def square_barrier(height: float, halfwidth: float, k: float) -> SquareBarrier:

@@ -1,0 +1,102 @@
+"""Reference forms that only the tests use.
+
+Each is a second route to a quantity the library computes another way (a
+closed form, a different integration domain, a defining limit); the tests
+compare the two.  Nothing under src/ imports this module.
+"""
+
+import math
+
+import numpy as np
+
+from tunnelclock import DomainError, larmor, oscquad, ppt, sfa
+from tunnelclock.errors import DegenerateDenominatorError
+
+# Centre of the oscillation period that scaling_factor_limit averages over.
+_LIMIT_XI = 40.0
+
+
+def bound_overlap(params, u_prime):
+    """Length-gauge coupling of the bound state to the momentum u'.
+
+    Closed form F*x0^2/(i*kappa^2) * 4u'/(u'^2+1)^2; odd in u'.
+    """
+    pref = params.field * params.x0 ** 2 / (1j * params.kappa ** 2)
+    val = pref * 4.0 * sfa._overlap_g(u_prime)
+    return complex(val) if val.ndim == 0 else val
+
+
+def attoclock_time_via_delay(params, u: float) -> float:
+    """attoclock.attoclock_time assembled in the ionization-time domain.
+
+    Integrates over the field-on time t_D with the bound-state coupling
+    matrix element, forms the mean delay <t_D>, and subtracts the drift
+    p/F explicitly.
+    """
+    kt = params.kappa_tilde
+    p_det = kt * u
+
+    def coupling(up):
+        return bound_overlap(params, up)
+
+    def g_num(up):
+        # t_D * coupling with t_D = (kappa_tilde*u' + p)/F
+        return (kt * up + p_det) / params.field * coupling(up)
+
+    num = oscquad.cubic_phase_integral(
+        params.kappa, 1.0, lower=-float(u), g=g_num, poles=sfa.OVERLAP_POLES)
+    den = oscquad.cubic_phase_integral(
+        params.kappa, 1.0, lower=-float(u), g=coupling, poles=sfa.OVERLAP_POLES)
+    if abs(den) < 1e-300:
+        raise DegenerateDenominatorError(
+            f"ionization amplitude underflows at u = {u}")
+    return float((num / den).real) - p_det / params.field
+
+
+def saddle_analytic(pulse, p: float, theta: float) -> complex:
+    """Closed-form constant-envelope saddle t_s of the cycle n = 0."""
+    p, theta = map(float, ppt._finite(p, theta))
+    if ppt._envelope(pulse)[0] or p <= 0.0:
+        raise DomainError("analytic saddle needs the constant envelope, p > 0")
+    return complex(ppt._constant_saddle(pulse, p, theta, 0))
+
+
+def scaling_factor_limit(params) -> complex:
+    """The defining limit of larmor.scaling_factor(params, "saddle").
+
+    Averages v(xi) psi_f(xi) psi_i(xi), psi_i the saddle form, over one
+    local Airy oscillation period centred at xi = _LIMIT_XI (the numeric
+    analogue of dropping the oscillatory terms) and inverts the average.
+    """
+    k = params.kappa
+    # Local oscillation period of Ai(kappa^{2/3}(1-xi)): phase
+    # (2/3) kappa (xi-1)^{3/2} advances by 2 pi over delta below.
+    delta = 2.0 * math.pi / (k * math.sqrt(_LIMIT_XI - 1.0))
+    xi = np.linspace(_LIMIT_XI - 0.5 * delta, _LIMIT_XI + 0.5 * delta, 257)
+    v = params.kappa_tilde * np.sqrt(xi)
+    product = v * larmor.final_state(params, xi) \
+        * sfa.psi_position_saddle(params, xi)
+    mean = np.trapezoid(product, xi) / delta
+    return 1.0 / complex(mean)
+
+
+def psi_momentum(params, u: float) -> complex:
+    """Stationary momentum-space wavefunction psi(u) (global phase dropped)."""
+    phase = np.exp(-1j * params.kappa * (u ** 3 / 3.0 + u))
+    return (4.0 * params.x0 / params.kappa) * complex(phase) \
+        * sfa.ionization_integral(params, u)
+
+
+def psi_momentum_saddle(params, u: float) -> complex:
+    """Closed saddle form: 2 i x0 sqrt(pi/kappa) e^{-2k/3} e^{-i k phi(u)} theta(u)."""
+    if u < 0.0:
+        return 0j
+    pref = 2j * params.x0 * math.sqrt(math.pi / params.kappa) \
+        * math.exp(-2.0 * params.kappa / 3.0)
+    return pref * complex(np.exp(-1j * params.kappa * (u ** 3 / 3.0 + u)))
+
+
+def barrier_psi_initial(barrier, x):
+    """Left-incident solution of a variational.SquareBarrier inside it."""
+    x = np.asarray(x, dtype=complex)
+    return barrier.c * np.exp(barrier.q * x) + barrier.d * np.exp(-barrier.q * x)

@@ -89,6 +89,10 @@ def test_width_must_be_positive():
         husimi.husimi_point(g, 0.0, 0.0, -1.0)
     with pytest.raises(DomainError):
         husimi.husimi_grid(g, np.array([0.0, math.nan]), np.array([0.0]), 0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        for x, p, width in ((bad, 0.0, 0.5), (0.0, bad, 0.5), (0.0, 0.0, bad)):
+            with pytest.raises(DomainError):
+                husimi.husimi_point(g, x, p, width)
 
 
 def test_ridge_monotone_approach_to_classical():

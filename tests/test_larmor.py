@@ -8,6 +8,8 @@ import pytest
 from tunnelclock import DomainError, HELIUM_IP, params_from_kappa
 from tunnelclock import larmor
 
+import oracles
+
 
 PARAMS = params_from_kappa(HELIUM_IP, 3.0)
 
@@ -22,10 +24,9 @@ def test_final_state_is_real_airy():
 
 def test_scaling_factor_against_oscillation_average():
     """Closed-form sigma vs a direct large-position oscillation average."""
-    for source in ("saddle",):
-        sigma = larmor.scaling_factor(PARAMS, source=source)
-        limit = larmor.scaling_factor_limit(PARAMS, source=source)
-        assert abs(sigma - limit) / abs(sigma) <= 0.05
+    sigma = larmor.scaling_factor(PARAMS, source="saddle")
+    limit = oracles.scaling_factor_limit(PARAMS)
+    assert abs(sigma - limit) / abs(sigma) <= 0.05
 
 
 def test_plateau_flat_and_positive():

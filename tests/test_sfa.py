@@ -1,6 +1,7 @@
 """Momentum-space solution, saddle forms, and the position transform."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from scipy.integrate import quad
 
 from tunnelclock import DomainError, HELIUM_IP, params_from_kappa
 from tunnelclock import sfa, specfun
+
+import oracles
 
 
 PARAMS = params_from_kappa(HELIUM_IP, 3.0)
@@ -75,7 +78,7 @@ def test_ionization_integral_conjugation_parity():
 
 def test_psi_momentum_modulus_is_ift_modulus():
     u = 1.3
-    val = sfa.psi_momentum(PARAMS, u)
+    val = oracles.psi_momentum(PARAMS, u)
     assert abs(val) == pytest.approx(
         4.0 * PARAMS.x0 / PARAMS.kappa * abs(sfa.ionization_integral(PARAMS, u)),
         rel=1e-12)
@@ -83,10 +86,10 @@ def test_psi_momentum_modulus_is_ift_modulus():
 
 def test_saddle_momentum_form_magnitude():
     u = 2.0
-    exact = abs(sfa.psi_momentum(PARAMS, u))
-    saddle = abs(sfa.psi_momentum_saddle(PARAMS, u))
+    exact = abs(oracles.psi_momentum(PARAMS, u))
+    saddle = abs(oracles.psi_momentum_saddle(PARAMS, u))
     assert saddle == pytest.approx(exact, rel=0.05)
-    assert sfa.psi_momentum_saddle(PARAMS, -1.0) == 0j
+    assert oracles.psi_momentum_saddle(PARAMS, -1.0) == 0j
 
 
 def test_position_saddle_matches_airy_scorer_combination():
@@ -136,10 +139,11 @@ def test_complex_grid_validation():
 def test_bound_overlap_odd_and_decaying():
     """The bound-continuum coupling is odd in u' and decays like 1/u'^3."""
     for u in (0.3, 1.0, 2.5):
-        plus = complex(sfa.bound_overlap(PARAMS, u))
-        minus = complex(sfa.bound_overlap(PARAMS, -u))
+        plus = complex(oracles.bound_overlap(PARAMS, u))
+        minus = complex(oracles.bound_overlap(PARAMS, -u))
         assert abs(plus + minus) <= 1e-15
-    mags = [abs(complex(sfa.bound_overlap(PARAMS, u))) for u in (1.0, 3.0, 9.0)]
+    mags = [abs(complex(oracles.bound_overlap(PARAMS, u)))
+            for u in (1.0, 3.0, 9.0)]
     assert mags[0] > mags[1] > mags[2]
     assert mags[2] <= mags[1] * (3.0 / 9.0) ** 3 * 1.5
 
@@ -220,6 +224,25 @@ def test_progression_split_takes_every_linspace_grid_of_the_library():
     scattered = np.sort(np.random.default_rng(5).uniform(-0.5, 2.5, 97))
     anchors, offsets = sfa._progression_split(scattered)
     assert offsets.size == 1 and np.array_equal(anchors, scattered)
+
+
+@pytest.mark.parametrize("u_max, xi_abs_max", [
+    (math.inf, 6.0), (math.nan, 6.0), (-6.0, 6.0), (0.0, 6.0),
+    (12.0, math.nan), (12.0, -math.inf), (12.0, -3.0)])
+def test_position_transform_rejects_bad_window(u_max, xi_abs_max):
+    """DomainError within 1 s: U = inf, or xi_abs_max = -3, used to add
+    panels forever, and U = NaN or -6 raised IndexError."""
+    def timeout(signum, frame):
+        raise TimeoutError("PositionTransform did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(DomainError):
+            sfa.PositionTransform(PARAMS, u_max=u_max, xi_abs_max=xi_abs_max)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_wide_xi_window_holds_stationary_points():

@@ -10,6 +10,8 @@ from tunnelclock import (HELIUM_IP, DomainError, NonConvergenceError,
                          params_from_kappa)
 from tunnelclock import oscquad, variational
 
+import oracles
+
 
 PARAMS = params_from_kappa(HELIUM_IP, 3.0)
 
@@ -79,6 +81,13 @@ def test_variational_time_unstable_under_dv_halving_raises(kappa):
         variational.larmor_time_variational(params_from_kappa(HELIUM_IP, kappa))
 
 
+def test_variational_time_refused_on_rank_deficient_matching_system():
+    """At kappa 52.75 dv and dv/2 agree to 1 % on tau = -173,838, but the
+    matching system at the resonance has sv ratio 1.6e-16."""
+    with pytest.raises(NonConvergenceError, match="rank-deficient"):
+        variational.larmor_time_variational(params_from_kappa(HELIUM_IP, 52.75))
+
+
 def test_square_barrier_unitarity_and_wronskians():
     for (v0, a, k) in [(1.0, 1.0, 0.8), (2.5, 0.7, 1.2), (0.9, 2.0, 0.5)]:
         b = variational.square_barrier(v0, a, k)
@@ -92,8 +101,8 @@ def test_square_barrier_wavefunctions_satisfy_matching():
     # transmitted-conjugate state times initial state integrates to the
     # weak-value numerator; just check continuity at the right edge
     eps = 1e-9
-    inside = b.psi_initial(1.0 - eps)
-    outside = b.psi_initial(1.0 + eps)
+    inside = oracles.barrier_psi_initial(b, 1.0 - eps)
+    outside = oracles.barrier_psi_initial(b, 1.0 + eps)
     assert abs(inside - outside) <= 1e-6
 
 
@@ -160,7 +169,7 @@ def test_weak_overlap_closed_form_matches_adaptive_reference(height,
 
     def overlap_density(x):
         psi_t_conj = sb.c_p * np.exp(sb.q * x) + sb.d_p * np.exp(-sb.q * x)
-        return psi_t_conj * sb.psi_initial(x)
+        return psi_t_conj * oracles.barrier_psi_initial(sb, x)
 
     ref = oscquad.integrate_finite(overlap_density, -halfwidth, halfwidth,
                                    tol=1e-14, rel_tol=1e-12).value / (k * sb.t)
