@@ -85,7 +85,7 @@ def _params(cfg, params):
 
 def _wavefunction(cfg, params):
     xi = np.linspace(0.0, cfg["x_max"], cfg["n_x"])
-    transform = sfa._converged_transform(params, max(6.0, cfg["x_max"] + 0.5))
+    transform = sfa._transform_for(params, xi)
     values = transform.psi(xi)
     rows = np.column_stack([params.x0 * xi, values.real, values.imag])
     return ["x", "re_psi", "im_psi"], rows, {"transform": transform.summary()}
@@ -95,8 +95,7 @@ def _husimi(cfg, params):
     x_max, width = cfg["x_max"], cfg["width"]
     pad = 6.5 * width / params.x0
     xi_dense = np.linspace(-pad, x_max + pad, 4001)
-    transform = sfa._converged_transform(
-        params, float(np.abs(xi_dense).max()) + 0.1)
+    transform = sfa._transform_for(params, xi_dense)
     psi = sfa.ComplexGrid1D(coordinates=params.x0 * xi_dense,
                             values=transform.psi(xi_dense))
     x_grid = np.linspace(0.0, x_max * params.x0, cfg["n_x"])
@@ -114,11 +113,11 @@ def _larmor(cfg, params):
                                          n=cfg["n_x"])
     rows = np.column_stack([trace.positions, trace.times.real,
                             trace.times.imag])
-    # The trace ends beyond the tunnel exit, where it is exactly flat.
+    # The trace ends beyond the tunnel exit, where it is exactly flat; it
+    # reads psi on the barrier, xi in [0, 1].
     return ["x", "re_tau", "im_tau"], rows, {
         "plateau_re_tau": float(trace.times[-1].real),
-        "transform": sfa._converged_transform(
-            params, larmor_mod.XI_ABS_MAX).summary()}
+        "transform": sfa._transform_for(params, 1.0).summary()}
 
 
 def _attoclock(cfg, params):

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, each a DomainError or a NonConvergenceError."""
 
 
 class DomainError(ValueError):
@@ -9,15 +9,15 @@ class NonConvergenceError(RuntimeError):
     """An iterative scheme exhausted its budget above tolerance."""
 
 
-class ContourCrossingError(RuntimeError):
+class ContourCrossingError(DomainError):
     """A rotated integration ray would pass too close to a declared pole."""
 
 
-class DegenerateDenominatorError(ArithmeticError):
+class DegenerateDenominatorError(DomainError):
     """A weak-value denominator underflowed below the usable range."""
 
 
-class CoverageError(ValueError):
+class CoverageError(DomainError):
     """A sampled wavefunction grid does not span the required support."""
 
 

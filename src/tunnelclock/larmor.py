@@ -21,8 +21,6 @@ from .model import ModelParams
 
 # Odd number of points of the dense Simpson grid over the barrier [0, x0].
 _SIMPSON_POINTS = 513
-# |xi| range of the numeric transform behind the trace and its prefactor.
-XI_ABS_MAX = 6.0
 
 
 @dataclass(frozen=True)
@@ -54,56 +52,42 @@ def final_state(params: ModelParams, xi):
     return specfun.ai_real(arg)
 
 
-def _asymptotic_prefactor(params: ModelParams, source: str) -> complex:
-    """C such that psi_i(xi) -> C * [Ai - i Gi](kappa^{2/3}(1 - xi)).
-
-    For the saddle-form initial state C is closed-form; for the numeric
-    transform it carries the exact (finite-kappa) ionization amplitude.
-    """
-    k = params.kappa
-    if source == "saddle":
-        return sfa._saddle_prefactor(params)
-    if source == "numeric":
-        transform = sfa._converged_transform(params, XI_ABS_MAX)
-        return (4.0 * params.x0 / k) * transform.i_infinity \
-            * math.pi * k ** (-1.0 / 3.0) / math.sqrt(2.0 * math.pi)
-    raise DomainError(f"unknown initial-state source {source!r}")
-
-
-def scaling_factor(params: ModelParams, source: str = "numeric") -> complex:
-    """sigma = 2^{2/3} pi / (F^{1/3} C) for the chosen initial-state source.
+def scaling_factor(params: ModelParams, c: complex) -> complex:
+    """sigma = 2^{2/3} pi / (F^{1/3} C) for an initial state with the
+    large-xi form psi_i(xi) -> C * [Ai - i Gi](kappa^{2/3}(1 - xi)).
 
     Equivalently the oscillation-averaged limit of 1/(v(xi) psi_f psi_i)
     as xi -> infinity with v(xi) = sqrt(2 ip xi).
     """
-    if params.kappa < 1.0:
-        raise DomainError(f"scaling factor requires kappa >= 1, got {params.kappa}")
-    c = _asymptotic_prefactor(params, source)
     return 2.0 ** (2.0 / 3.0) * math.pi / (params.field ** (1.0 / 3.0) * c)
 
 
-def larmor_time_trace(params: ModelParams, x_max: float, n: int = 64,
-                      source: str = "numeric") -> TimeTrace:
+def larmor_time_trace(params: ModelParams, x_max: float, n: int = 64) -> TimeTrace:
     """Cumulative weak-value Larmor time on positions linspace(0, x_max, n).
 
     The projector theta_B truncates the integrand at the tunnel exit, so
     the trace is exactly flat beyond x0.  The cumulative integral over the
     smooth barrier region is taken on a dense Simpson grid and interpolated
     onto the requested positions, which keeps it exactly additive over
-    subintervals.
+    subintervals.  The linear interpolation is O(h^2) in the grid step
+    h = 1/(_SIMPSON_POINTS - 1) at positions between grid points: against
+    Gauss-Legendre panels broken at every requested xi, 2.3e-6 of max|tau|
+    at kappa = 3, n = 121, x_max = 3 x0, falling 4x per halving of h, and
+    9.3e-12 at kappa = 4, n = 25, where every position is a grid point.
     """
+    if params.kappa < 1.0:
+        raise DomainError(f"scaling factor requires kappa >= 1, got {params.kappa}")
     if x_max <= params.x0:
         raise DomainError("x_max must exceed the tunnel exit x0")
     if n < 16:
         raise DomainError("need at least 16 trace points")
 
-    sigma = scaling_factor(params, source)
     xi_dense = np.linspace(0.0, 1.0, _SIMPSON_POINTS)
-    if source == "saddle":
-        psi_i = sfa.psi_position_saddle(params, xi_dense)
-    else:
-        psi_i = sfa._converged_transform(params, XI_ABS_MAX).psi(xi_dense)
-    integrand = final_state(params, xi_dense) * psi_i
+    transform = sfa._transform_for(params, xi_dense)
+    # psi_i's asymptotic prefactor carries the exact (finite-kappa) I(inf).
+    sigma = scaling_factor(params, transform._pref * transform.i_infinity
+                           * math.pi * params.kappa ** (-1.0 / 3.0))
+    integrand = final_state(params, xi_dense) * transform.psi(xi_dense)
 
     # Cumulative Simpson on the uniform dense grid (composite over pairs,
     # trapezoid closing for odd offsets keeps interpolation smooth).
@@ -123,7 +107,7 @@ def larmor_time_trace(params: ModelParams, x_max: float, n: int = 64,
     return TimeTrace(positions=positions, times=times)
 
 
-def plateau_time(params: ModelParams, source: str = "numeric") -> complex:
+def plateau_time(params: ModelParams) -> complex:
     """Converged Larmor time (the trace value anywhere beyond the exit)."""
-    trace = larmor_time_trace(params, x_max=2.0 * params.x0, n=16, source=source)
+    trace = larmor_time_trace(params, x_max=2.0 * params.x0, n=16)
     return complex(trace.times[-1])

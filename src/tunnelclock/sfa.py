@@ -98,6 +98,8 @@ _PSI_BLOCK = 1 << 21
 _PHASE_BUDGET = 20.0
 # Change between a window and the next doubling that certifies it.
 _WINDOW_REL_TOL = 1e-7
+# Smallest |xi| range a transform is built for (see _transform_for).
+_XI_FLOOR = 6.0
 
 
 def _window_remainder(kappa: float, u):
@@ -195,7 +197,7 @@ class PositionTransform:
     """
 
     def __init__(self, params: ModelParams, u_max: float = 12.0,
-                 xi_abs_max: float = 6.0):
+                 xi_abs_max: float = _XI_FLOOR):
         self.params = params
         self.u_max = float(u_max)
         self.xi_abs_max = float(xi_abs_max)
@@ -210,7 +212,6 @@ class PositionTransform:
                 f"+-sqrt(xi - 1) of every |xi| <= {self.xi_abs_max}")
         # Set by _converged_transform on the window it certifies.
         self.achieved_change: float | None = None
-        self.rel_tol: float | None = None
         k = params.kappa
         w_max = 1.0 + self.xi_abs_max  # largest |1 - xi| in the window
 
@@ -289,9 +290,10 @@ class PositionTransform:
         return complex(out[0]) if np.isscalar(xi) else out
 
     def summary(self) -> dict:
-        """Window, node count and certified change, as a sidecar records them."""
-        return {"u_max": self.u_max, "nodes": int(self.nodes.size),
-                "achieved_change": self.achieved_change, "rel_tol": self.rel_tol}
+        """Window, |xi| range, nodes and certified change, for a sidecar."""
+        return {"u_max": self.u_max, "xi_abs_max": self.xi_abs_max,
+                "nodes": int(self.nodes.size),
+                "achieved_change": self.achieved_change}
 
 
 @lru_cache(maxsize=8)
@@ -305,7 +307,7 @@ def _converged_transform(params: ModelParams,
     truncation error falls like U^-13, so the wider window's own error is
     ~1e-4 of the narrower one's and the measured change is the narrower
     window's error.  The change is stored on the returned transform as
-    achieved_change, and the tolerance as rel_tol.
+    achieved_change.
     The first window also contains the stationary points +-sqrt(xi - 1) of
     every xi in range, so U starts above 6 when xi_abs_max > 31.25.
     """
@@ -321,13 +323,24 @@ def _converged_transform(params: ModelParams,
         change = float(np.max(np.abs(new - ref)) / scale)
         if change < _WINDOW_REL_TOL:
             current.achieved_change = change
-            current.rel_tol = _WINDOW_REL_TOL
             return current
         current, ref = wider, new
     raise NonConvergenceError(
         f"position transform window failed to converge (last change {change:.3g})")
 
 
-def psi_position(params: ModelParams, xi, xi_abs_max: float = 6.0):
-    """psi(xi) from the converged numeric transform (cached per params)."""
-    return _converged_transform(params, float(xi_abs_max)).psi(xi)
+def _transform_for(params: ModelParams, xi) -> PositionTransform:
+    """The certified transform that evaluates psi at every given xi.
+
+    Its |xi| range is max(_XI_FLOOR, max|xi|): every request inside the
+    floor shares one cached build, and a wider one gets a build of its own.
+    """
+    xi_abs_max = float(np.abs(xi).max(initial=_XI_FLOOR))
+    if not math.isfinite(xi_abs_max):
+        raise DomainError(f"xi must be finite, got max|xi| = {xi_abs_max}")
+    return _converged_transform(params, xi_abs_max)
+
+
+def psi_position(params: ModelParams, xi):
+    """psi(xi) from the converged numeric transform (see _transform_for)."""
+    return _transform_for(params, xi).psi(xi)

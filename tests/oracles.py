@@ -62,7 +62,7 @@ def saddle_analytic(pulse, p: float, theta: float) -> complex:
 
 
 def scaling_factor_limit(params) -> complex:
-    """The defining limit of larmor.scaling_factor(params, "saddle").
+    """The defining limit of larmor.scaling_factor with the saddle form.
 
     Averages v(xi) psi_f(xi) psi_i(xi), psi_i the saddle form, over one
     local Airy oscillation period centred at xi = _LIMIT_XI (the numeric
@@ -78,6 +78,19 @@ def scaling_factor_limit(params) -> complex:
         * sfa.psi_position_saddle(params, xi)
     mean = np.trapezoid(product, xi) / delta
     return 1.0 / complex(mean)
+
+
+def plateau_time_saddle(params) -> complex:
+    """larmor.plateau_time with the saddle form as the initial state.
+
+    sigma x0 times the overlap of psi_f with psi_position_saddle over the
+    barrier, on 32 Gauss-Legendre panels instead of the trace's Simpson sum.
+    """
+    xi, weights = oscquad.gl_panels(np.linspace(0.0, 1.0, 33))
+    overlap = np.sum(weights * larmor.final_state(params, xi)
+                     * sfa.psi_position_saddle(params, xi))
+    sigma = larmor.scaling_factor(params, sfa._saddle_prefactor(params))
+    return complex(sigma * params.x0 * overlap)
 
 
 def psi_momentum(params, u: float) -> complex:

@@ -274,8 +274,7 @@ def test_criterion_11_husimi_ridge_follows_classical_momentum():
 
     pad = 6.5 * base_width / params.x0
     xi_dense = np.linspace(-pad, 6.0 + pad, 4001)
-    values = sfa.psi_position(params, xi_dense,
-                              xi_abs_max=float(np.abs(xi_dense).max()) + 0.1)
+    values = sfa.psi_position(params, xi_dense)
     psi = sfa.ComplexGrid1D(coordinates=params.x0 * xi_dense, values=values)
 
     p_classical = np.sqrt(2.0 * params.field * (x_points - params.x0))

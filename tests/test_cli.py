@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from tunnelclock import cli
+from tunnelclock import cli, errors, sfa
 
 
 def run_cli(args):
@@ -182,7 +182,7 @@ def test_scenarios_without_airy_do_not_load_scipy(tmp_path):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = """
 import sys
-from tunnelclock import cli
+from tunnelclock import cli, errors, sfa
 
 def scipy_modules():
     return sorted(m for m in sys.modules
@@ -226,9 +226,30 @@ def test_transform_sidecar_records_certified_window(tmp_path, scenario):
     side = json.loads((tmp_path / "t.json").read_text())
     assert "tolerances" not in side
     transform = side["transform"]
-    assert set(transform) == {"u_max", "nodes", "achieved_change", "rel_tol"}
+    assert set(transform) == {"u_max", "xi_abs_max", "nodes", "achieved_change"}
     assert transform["nodes"] > 0 and transform["u_max"] >= 6.0
-    assert 0.0 <= transform["achieved_change"] < transform["rel_tol"] == 1e-7
+    assert transform["xi_abs_max"] == 6.0
+    assert 0.0 <= transform["achieved_change"] < sfa._WINDOW_REL_TOL == 1e-7
+
+
+def test_larmor_and_husimi_share_one_transform(tmp_path):
+    """At kappa 3 both scenarios read psi inside |xi| <= 6: one build."""
+    sfa._converged_transform.cache_clear()
+    for scenario in ("larmor", "husimi"):
+        assert run_cli([scenario, "--kappa", "3", "--n-x", "17",
+                        "--out", str(tmp_path / f"{scenario}.csv")]) == 0
+    assert sfa._converged_transform.cache_info().misses == 1
+
+
+def test_every_library_error_maps_to_an_exit_code():
+    """main turns DomainError into exit 2 and NonConvergenceError into exit
+    3; no other exception class may escape it with a traceback."""
+    classes = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, Exception)
+               and obj is not errors.NumericalWarning]
+    assert len(classes) == 5
+    for cls in classes:
+        assert issubclass(cls, (errors.DomainError, errors.NonConvergenceError))
 
 
 @pytest.mark.parametrize("flag", [["--ip", "0"], ["--ip", "-1"],

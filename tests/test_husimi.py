@@ -101,8 +101,7 @@ def test_ridge_monotone_approach_to_classical():
     x_lo, x_hi = 3.0 * PARAMS.x0, 7.0 * PARAMS.x0
     pad = 6.5 * width / PARAMS.x0
     xi = np.linspace(x_lo / PARAMS.x0 - pad, x_hi / PARAMS.x0 + pad, 3001)
-    values = sfa.psi_position(PARAMS, xi,
-                              xi_abs_max=float(np.abs(xi).max()) + 0.1)
+    values = sfa.psi_position(PARAMS, xi)
     grid = _position_grid(xi, values)
     x_grid = np.linspace(x_lo, x_hi, 9)
     p_grid = np.linspace(0.5, 4.2, 741)  # fine p grid isolates the bias
@@ -119,7 +118,7 @@ def test_grid_matches_point_on_nonuniform_grid():
     width = 1.0 / math.sqrt(PARAMS.kappa_tilde)
     rng = np.random.default_rng(3)
     xi = np.sort(np.concatenate([[-2.6, 5.8], rng.uniform(-2.6, 5.8, 2000)]))
-    values = sfa.psi_position(PARAMS, xi, xi_abs_max=5.9)
+    values = sfa.psi_position(PARAMS, xi)
     grid = _position_grid(xi, values)
     x_grid = np.linspace(1.0, 2.2, 7) * PARAMS.x0
     p_grid = np.linspace(0.0, 2.5, 11)
@@ -136,7 +135,7 @@ def test_grid_matches_point_where_windows_hold_subnormals():
     width = 1.0 / math.sqrt(params.kappa_tilde)
     xi = np.linspace(-0.2, 3.2, 2001)
     grid = sfa.ComplexGrid1D(coordinates=params.x0 * xi,
-                             values=sfa.psi_position(params, xi, 3.3))
+                             values=sfa.psi_position(params, xi))
     x_grid = np.linspace(0.0, 3.0, 13) * params.x0
     p_grid = np.linspace(0.0, 4.0, 11)
     windows = np.exp(-((xi * params.x0)[None, :] - x_grid[:, None]) ** 2

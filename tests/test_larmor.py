@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tunnelclock import DomainError, HELIUM_IP, params_from_kappa
-from tunnelclock import larmor
+from tunnelclock import larmor, sfa
 
 import oracles
 
@@ -24,7 +24,7 @@ def test_final_state_is_real_airy():
 
 def test_scaling_factor_against_oscillation_average():
     """Closed-form sigma vs a direct large-position oscillation average."""
-    sigma = larmor.scaling_factor(PARAMS, source="saddle")
+    sigma = larmor.scaling_factor(PARAMS, sfa._saddle_prefactor(PARAMS))
     limit = oracles.scaling_factor_limit(PARAMS)
     assert abs(sigma - limit) / abs(sigma) <= 0.05
 
@@ -40,8 +40,8 @@ def test_plateau_flat_and_positive():
 
 def test_plateau_source_independence_of_real_part():
     """Re tau is a weak value ratio; the representation constant cancels."""
-    a = larmor.plateau_time(PARAMS, source="numeric")
-    b = larmor.plateau_time(PARAMS, source="saddle")
+    a = larmor.plateau_time(PARAMS)
+    b = oracles.plateau_time_saddle(PARAMS)
     assert a.real == pytest.approx(b.real, rel=1e-6)
 
 
@@ -63,8 +63,3 @@ def test_trace_validation():
     with pytest.raises(DomainError):
         larmor.TimeTrace(positions=np.array([0.5, 1.0]),
                          times=np.array([0j, 1j]))
-
-
-def test_invalid_source_rejected():
-    with pytest.raises(DomainError):
-        larmor.scaling_factor(PARAMS, source="bogus")

@@ -179,10 +179,11 @@ def test_certified_transform_is_narrower_of_passing_pair(kappa):
     wider = sfa.PositionTransform(p, u_max=2.0 * transform.u_max).psi(probe)
     change = np.max(np.abs(wider - ref)) / np.max(np.abs(ref))
     assert change == pytest.approx(transform.achieved_change, rel=1e-6)
-    assert transform.achieved_change < transform.rel_tol == 1e-7
+    assert transform.achieved_change < sfa._WINDOW_REL_TOL == 1e-7
     assert transform.summary() == {
-        "u_max": transform.u_max, "nodes": len(transform.nodes),
-        "achieved_change": transform.achieved_change, "rel_tol": 1e-7}
+        "u_max": transform.u_max, "xi_abs_max": 6.0,
+        "nodes": len(transform.nodes),
+        "achieved_change": transform.achieved_change}
 
 
 def test_psi_scattered_equals_uniform_grid_values():
@@ -212,7 +213,7 @@ def test_progression_split_takes_every_linspace_grid_of_the_library():
     husimi_xi = np.linspace(-pad, 3.0 + pad, 4001)
     grids = [np.linspace(0.0, 3.0, 121) - 6.0,  # wavefunction, as psi sees it
              np.linspace(0.0, 1.0, 513) - 6.0,  # larmor
-             husimi_xi - (np.abs(husimi_xi).max() + 0.1),  # husimi psi
+             husimi_xi - max(6.0, np.abs(husimi_xi).max()),  # husimi psi
              husimi_xi * p.x0,  # husimi_grid positions
              np.linspace(-4.0, 4.0, 9) - 6.0]  # _converged_transform probe
     for grid in grids:
@@ -254,10 +255,28 @@ def test_wide_xi_window_holds_stationary_points():
     assert transform.u_max ** 2 + 1.0 >= 100.0
     for bad in (math.nan, 100.5):
         with pytest.raises(DomainError):
-            sfa.psi_position(p, bad, xi_abs_max=100.0)
+            transform.psi(bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            sfa.psi_position(p, bad)
+        with pytest.raises(DomainError):
+            sfa.psi_position(p, np.array([0.0, bad]))
     xi = np.linspace(-100.0, 100.0, 41)
     with np.errstate(over="raise", invalid="raise"):
         got = transform.psi(xi)
     ref = sfa.PositionTransform(p, u_max=2.0 * transform.u_max,
                                 xi_abs_max=100.0).psi(xi)
+    assert np.max(np.abs(got - ref)) <= 1e-7 * np.max(np.abs(ref))
+
+
+def test_psi_position_picks_its_own_range():
+    """psi_position builds for max(6, max|xi|): |xi| up to 40 needs no range
+    argument, and agrees with the doubled window over the whole range."""
+    xi = np.linspace(-40.0, 40.0, 161)
+    got = sfa.psi_position(PARAMS, xi)
+    transform = sfa._transform_for(PARAMS, xi)
+    assert transform.xi_abs_max == 40.0
+    assert sfa._transform_for(PARAMS, [-2.0, 5.5]).xi_abs_max == 6.0
+    ref = sfa.PositionTransform(PARAMS, u_max=2.0 * transform.u_max,
+                                xi_abs_max=40.0).psi(xi)
     assert np.max(np.abs(got - ref)) <= 1e-7 * np.max(np.abs(ref))
