@@ -10,9 +10,6 @@ Gauss-Legendre rule for cubic-phase integrals over any set of lower limits.
 __version__ = "1.0.0"
 
 from .errors import (
-    ContourCrossingError,
-    CoverageError,
-    DegenerateDenominatorError,
     DomainError,
     NonConvergenceError,
     NumericalWarning,
@@ -38,8 +35,5 @@ __all__ = [
     "position_from_u",
     "DomainError",
     "NonConvergenceError",
-    "ContourCrossingError",
-    "DegenerateDenominatorError",
-    "CoverageError",
     "NumericalWarning",
 ]

@@ -4,9 +4,10 @@ tau_A(u) = tau_tilde * Re[ N(u) / D(u) ]
 
 with the half-line cubic-phase integrals (lower limit -u, prefactors
 u'^2/(u'^2+1)^2 and u'/(u'^2+1)^2) taken by the fixed rule of
-oscquad.cubic_phase_integral, a whole trace in one call per prefactor.
-The drift p/F has already been subtracted, so tau_A is a pure tunneling delay;
-it is non-zero at the tunnel exit and vanishes at the detector by parity.
+oscquad.cubic_phase_integral, a whole trace in one call per prefactor;
+D is sfa.ionization_integral.  The drift p/F has already been subtracted,
+so tau_A is a pure tunneling delay; it is non-zero at the tunnel exit and
+vanishes at the detector by parity.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oscquad, sfa
-from .errors import DegenerateDenominatorError, DomainError
+from .errors import DomainError
 from .model import ModelParams
 
 # Lower limits -+_PARITY_CUT of the half-lines asymptotic_parity_split joins.
@@ -49,16 +50,14 @@ def _g_delay(t):
 
 def _weak_delay(params: ModelParams, u) -> np.ndarray:
     """tau_A at every u: one N and one D call over all lower limits -u."""
-    lower = -np.asarray(u, dtype=float)
+    u = np.asarray(u, dtype=float)
     n = oscquad.cubic_phase_integral(
-        params.kappa, 1.0, lower=lower, g=_g_delay, poles=sfa.OVERLAP_POLES)
-    d = oscquad.cubic_phase_integral(
-        params.kappa, 1.0, lower=lower, g=sfa._overlap_g,
-        poles=sfa.OVERLAP_POLES)
+        params.kappa, 1.0, lower=-u, g=_g_delay, poles=sfa.OVERLAP_POLES)
+    d = sfa.ionization_integral(params, u)
     small = np.abs(d) < 1e-300
     if np.any(small):
-        raise DegenerateDenominatorError(
-            f"ionization amplitude underflows at u = {-lower[small]}")
+        raise DomainError(
+            f"ionization amplitude underflows at u = {u[small]}")
     return params.tau_tilde * (n / d).real
 
 
@@ -76,12 +75,11 @@ def asymptotic_parity_split(params: ModelParams):
     half-line pieces follow from conjugation symmetry of the real
     prefactors (even g -> +conj, odd g -> -conj of the right tail).
     """
-    lower = (-_PARITY_CUT, _PARITY_CUT)
     num_main, num_tail = oscquad.cubic_phase_integral(
-        params.kappa, 1.0, lower=lower, g=_g_delay, poles=sfa.OVERLAP_POLES)
-    den_main, den_tail = oscquad.cubic_phase_integral(
-        params.kappa, 1.0, lower=lower, g=sfa._overlap_g,
+        params.kappa, 1.0, lower=(-_PARITY_CUT, _PARITY_CUT), g=_g_delay,
         poles=sfa.OVERLAP_POLES)
+    den_main, den_tail = sfa.ionization_integral(
+        params, (_PARITY_CUT, -_PARITY_CUT))
     return num_main + np.conj(num_tail), den_main - np.conj(den_tail)
 
 

@@ -1,4 +1,4 @@
-"""Shared exception types, each a DomainError or a NonConvergenceError."""
+"""Shared exception types: a DomainError, a NonConvergenceError or a warning."""
 
 
 class DomainError(ValueError):
@@ -7,18 +7,6 @@ class DomainError(ValueError):
 
 class NonConvergenceError(RuntimeError):
     """An iterative scheme exhausted its budget above tolerance."""
-
-
-class ContourCrossingError(DomainError):
-    """A rotated integration ray would pass too close to a declared pole."""
-
-
-class DegenerateDenominatorError(DomainError):
-    """A weak-value denominator underflowed below the usable range."""
-
-
-class CoverageError(DomainError):
-    """A sampled wavefunction grid does not span the required support."""
 
 
 class NumericalWarning(UserWarning):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, DomainError
+from .errors import DomainError
 from .sfa import ComplexGrid1D, _progression_split
 
 
@@ -37,7 +37,7 @@ class PhaseSpaceGrid:
 def _check_coverage(xs: np.ndarray, x: float, width: float) -> None:
     lo, hi = xs[0], xs[-1]
     if x - 6.0 * width < lo or x + 6.0 * width > hi:
-        raise CoverageError(
+        raise DomainError(
             f"grid [{lo:.3f}, {hi:.3f}] does not span "
             f"[{x - 6 * width:.3f}, {x + 6 * width:.3f}]")
 

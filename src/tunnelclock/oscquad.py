@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContourCrossingError, DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError
 
 # Default tolerances: two orders below the tightest downstream tolerance.
 DEFAULT_ABS_TOL = 1e-10
@@ -208,7 +208,7 @@ def cubic_phase_integral(kappa: float, w: float, lower=0.0,
         rel = (p - u_split) / direction
         dist = abs(rel.imag) if rel.real >= 0.0 else abs(p - u_split)
         if dist < _POLE_CLEARANCE:
-            raise ContourCrossingError(
+            raise DomainError(
                 f"rotated tail ray passes within {dist:.3g} of pole {p} "
                 f"(exclusion radius {_POLE_CLEARANCE:g})")
 

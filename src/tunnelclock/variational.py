@@ -156,15 +156,17 @@ def larmor_time_variational(params: ModelParams,
     """tau = -d(arg AR)/dV at the resonance energy, by central differences.
 
     The outgoing Airy factor at x = x0 is dV-independent, so the phase of
-    the transmitted wave at the exit moves only through AR.  Raises
-    NonConvergenceError when halving dv moves tau by more than
-    _DV_STABILITY_TOL relative (from kappa = 49 at the default dv), and
-    then when the matching system at the resonance has a singular-value
-    ratio below _RANK_TOL (from kappa = 43.5 at ip = HELIUM_IP: 1.1e-13 at
-    kappa 43, 2.9e-14 at 45, 1.6e-16 at 52.75).
+    the transmitted wave at the exit moves only through AR.  A dv that is
+    not finite and positive raises DomainError.  Raises NonConvergenceError
+    when halving dv moves tau by more than _DV_STABILITY_TOL relative (from
+    kappa = 49 at the default dv), and then when the matching system at the
+    resonance has a singular-value ratio below _RANK_TOL (from kappa = 43.5
+    at ip = HELIUM_IP: 1.1e-13 at kappa 43, 2.9e-14 at 45, 1.6e-16 at 52.75).
     """
     if dv is None:
         dv = 1e-5 * params.ip
+    if not (math.isfinite(dv) and dv > 0.0):
+        raise DomainError(f"dv must be finite and positive, got {dv!r}")
     e0 = find_resonance(params).energy
 
     def tau_of(h: float) -> float:
@@ -258,34 +260,24 @@ def scattering_equivalence(barrier_height: float, barrier_halfwidth: float,
     """Weak-value and variational traversal times for a square barrier.
 
     tau_weak = (1/k) * integral_{-a}^{a} psi_t^*(x) psi_i(x) dx / T,
-    tau_variational = -d(arg T)/dV (Richardson central differences).
-    The differences take barriers of height (1 +- 1e-4) barrier_height, so
-    q a must stay inside square_barrier's envelope at the larger one (else
-    DomainError, naming the caller's q a and the largest that fits); up to
-    q a = 176.9 the two times agree to <= 6.4e-12 relative (measured at
-    (height, k) = (1, 0.8), (2.5, 0.5), (0.5, 0.9) and (3, 1)).
+    tau_variational = -d(arg T)/dV, exact: T = e^{-2ika}/D with
+    D = cosh 2qa + i eps sinh 2qa, eps = (q^2 - k^2)/(2kq) and dq/dV = 1/q,
+    differentiated as D/cosh 2qa so that it holds at every q a of
+    square_barrier's envelope.  Measured on 16 barriers up to q a = 177:
+    within 3.8e-16 relative of a 40-digit derivative of arg T, and the
+    weak value agrees with it to 8.1e-14.
     """
     sb = square_barrier(barrier_height, barrier_halfwidth, k)
     a, q = sb.halfwidth, sb.q
-    h = 1e-4 * barrier_height
-    q_top = math.sqrt(2.0 * (barrier_height + h) - k * k)
-    if not q_top * a <= _MAX_QA:
-        raise DomainError(
-            f"q*a = {q * a:.6g} leaves no headroom for the phase derivative, "
-            f"which also takes the barrier of height (1 + 1e-4) x "
-            f"{barrier_height:g}: this height and wavenumber need "
-            f"q*a <= {_MAX_QA * q / q_top:.6g} for it")
     # integral_{-a}^{a} (c' e^{qx} + d' e^{-qx})(c e^{qx} + d e^{-qx}) dx
     overlap = ((sb.c_p * sb.c + sb.d_p * sb.d) * math.sinh(2.0 * q * a) / q
                + 2.0 * a * (sb.c_p * sb.d + sb.d_p * sb.c))
     tau_weak = overlap / (k * sb.t)
-
-    def arg_t(v: float) -> float:
-        return cmath.phase(square_barrier(v, barrier_halfwidth, k).t)
-
-    def central(hh: float) -> float:
-        return (arg_t(barrier_height + hh) - arg_t(barrier_height - hh)) / (2.0 * hh)
-
-    d1, d2 = central(h), central(0.5 * h)
-    tau_var = -(4.0 * d2 - d1) / 3.0
-    return complex(tau_weak), float(tau_var)
+    # arg T = -2ka - arg(1 + i eps t), t = tanh 2qa, so with
+    # eps' = d eps/dq = (q^2 + k^2)/(2kq^2) and dt/dq = 2a sech^2 2qa:
+    t = math.tanh(2.0 * q * a)
+    eps = (q * q - k * k) / (2.0 * k * q)
+    eps_q = (q * q + k * k) / (2.0 * k * q * q)
+    tau_var = ((eps_q * t + 2.0 * a * eps * math.cosh(2.0 * q * a) ** -2)
+               / (q * (1.0 + (eps * t) ** 2)))
+    return complex(tau_weak), tau_var

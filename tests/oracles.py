@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from tunnelclock import DomainError, larmor, oscquad, ppt, sfa
-from tunnelclock.errors import DegenerateDenominatorError
 
 # Centre of the oscillation period that scaling_factor_limit averages over.
 _LIMIT_XI = 40.0
@@ -48,7 +47,7 @@ def attoclock_time_via_delay(params, u: float) -> float:
     den = oscquad.cubic_phase_integral(
         params.kappa, 1.0, lower=-float(u), g=coupling, poles=sfa.OVERLAP_POLES)
     if abs(den) < 1e-300:
-        raise DegenerateDenominatorError(
+        raise DomainError(
             f"ionization amplitude underflows at u = {u}")
     return float((num / den).real) - p_det / params.field
 

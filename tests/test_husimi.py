@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tunnelclock import CoverageError, DomainError, HELIUM_IP, params_from_kappa
+from tunnelclock import DomainError, HELIUM_IP, params_from_kappa
 from tunnelclock import husimi, sfa
 
 
@@ -78,7 +78,7 @@ def test_zero_state_gives_zero_map():
 def test_coverage_error():
     xi = np.linspace(0.0, 2.0, 201) / PARAMS.x0
     g = _position_grid(xi, np.ones_like(xi))
-    with pytest.raises(CoverageError):
+    with pytest.raises(DomainError, match="does not span"):
         husimi.husimi_point(g, 1.9, 0.0, 0.5)
 
 

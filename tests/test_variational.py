@@ -11,6 +11,7 @@ from tunnelclock import (HELIUM_IP, DomainError, NonConvergenceError,
 from tunnelclock import oscquad, variational
 
 import oracles
+from test_acceptance import _BARRIER_TRIPLES
 
 
 PARAMS = params_from_kappa(HELIUM_IP, 3.0)
@@ -73,6 +74,12 @@ def test_variational_time_positive_and_stable():
     assert tau2 == pytest.approx(tau, rel=1e-3)
 
 
+@pytest.mark.parametrize("dv", [0.0, -1e-5, math.nan, math.inf])
+def test_variational_time_rejects_nonpositive_or_nonfinite_dv(dv):
+    with pytest.raises(DomainError, match="dv must be finite and positive"):
+        variational.larmor_time_variational(PARAMS, dv=dv)
+
+
 @pytest.mark.parametrize("kappa", [50.0, 60.0])
 def test_variational_time_unstable_under_dv_halving_raises(kappa):
     """Halving dv moves tau by far more than 1 % here: -147.37 -> 208.75 at
@@ -126,16 +133,44 @@ def test_square_barrier_envelope():
             variational.scattering_equivalence(1.0, halfwidth, k)
 
 
-def test_phase_derivative_headroom_names_the_callers_qa():
-    """q a = 177 is inside square_barrier's envelope, but the phase
-    derivative also takes the barrier 1e-4 higher, whose q a is 177.013:
-    the error names the caller's q a and the largest one that has room."""
-    k = 0.8
-    halfwidth = 177.0 / math.sqrt(2.0 - k * k)
-    variational.square_barrier(1.0, halfwidth, k)
-    with pytest.raises(DomainError,
-                       match=r"q\*a = 177 .* q\*a <= 176\.987 for it"):
-        variational.scattering_equivalence(1.0, halfwidth, k)
+def _phase_time_by_mpmath(mpmath, height, halfwidth, k):
+    """(-d(arg T)/dV, T) at 40 digits, T = e^{-2ika}/D with
+    D = cosh 2qa + i eps sinh 2qa.
+
+    arg is taken of T(V) T(height)^*, which stays near 0, so the
+    difference stencil never straddles the branch cut."""
+    with mpmath.workdps(40):
+        a, k, v0 = mpmath.mpf(halfwidth), mpmath.mpf(k), mpmath.mpf(height)
+
+        def t(v):
+            q = mpmath.sqrt(2 * v - k * k)
+            eps = (q * q - k * k) / (2 * k * q)
+            d = mpmath.cosh(2 * q * a) + 1j * eps * mpmath.sinh(2 * q * a)
+            return mpmath.exp(-2j * k * a) / d
+
+        t0 = t(v0)
+        tau = -mpmath.diff(lambda v: mpmath.arg(t(v) * mpmath.conj(t0)), v0)
+        return float(tau), complex(t0)
+
+
+_QA_EDGE = [(1.0, qa / math.sqrt(2.0 - 0.8 ** 2), 0.8)
+            for qa in (176.99, 177.0)]
+
+
+@pytest.mark.parametrize("height, halfwidth, k",
+                         list(_BARRIER_TRIPLES) + _QA_EDGE)
+def test_variational_time_is_the_exact_phase_derivative(height, halfwidth, k):
+    """tau_var against a 40-digit derivative of arg T, and the weak value
+    against tau_var, both to 1e-13 relative, up to q a = 177 (the phase
+    time takes no second barrier, so q a = 176.99 and 177 return).  The
+    closed-form T is the linear solve's T to 1e-13."""
+    mpmath = pytest.importorskip("mpmath")
+    tau_weak, tau_var = variational.scattering_equivalence(height, halfwidth, k)
+    exact, t_exact = _phase_time_by_mpmath(mpmath, height, halfwidth, k)
+    assert abs(variational.square_barrier(height, halfwidth, k).t - t_exact) \
+        <= 1e-13 * abs(t_exact)
+    assert abs(tau_var - exact) <= 1e-13 * abs(exact)
+    assert abs(tau_weak.real - tau_var) <= 1e-13 * abs(tau_var)
 
 
 def test_hartman_saturation():
