@@ -59,6 +59,8 @@ def scaling_factor(params: ModelParams, c: complex) -> complex:
     Equivalently the oscillation-averaged limit of 1/(v(xi) psi_f psi_i)
     as xi -> infinity with v(xi) = sqrt(2 ip xi).
     """
+    if not math.isfinite(abs(c)):
+        raise DomainError(f"C must be finite, got {c}")
     return 2.0 ** (2.0 / 3.0) * math.pi / (params.field ** (1.0 / 3.0) * c)
 
 

@@ -62,8 +62,8 @@ def classical_trajectory(params: ModelParams, t: float) -> tuple[float, float]:
 
     Starts at x0 with zero velocity at t = 0 and accelerates in the field.
     """
-    if t < 0.0:
-        raise DomainError(f"t must be non-negative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"t must be finite and non-negative, got {t}")
     x = params.x0 + 0.5 * params.field * t * t
     v = params.field * t
     return x, v
@@ -72,6 +72,8 @@ def classical_trajectory(params: ModelParams, t: float) -> tuple[float, float]:
 def classical_velocity(params: ModelParams, x: float) -> float:
     """Velocity sqrt(2*field*(x - x0)) at position x on the released
     trajectory (0 before the exit)."""
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     return math.sqrt(max(0.0, 2.0 * params.field * (x - params.x0)))
 
 
@@ -80,6 +82,6 @@ def position_from_u(params: ModelParams, u: float) -> float:
 
     Energy conservation on the classical trajectory gives xi = 1 + u^2.
     """
-    if u < 0.0:
-        raise DomainError(f"u must be non-negative, got {u}")
+    if not 0.0 <= u < math.inf:
+        raise DomainError(f"u must be finite and non-negative, got {u}")
     return 1.0 + u * u

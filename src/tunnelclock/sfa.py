@@ -96,7 +96,8 @@ _RAY_DECAY = 40.0
 _PSI_BLOCK = 1 << 21
 # Largest local phase advance, in radians, across one window panel.
 _PHASE_BUDGET = 20.0
-# Change between a window and the next doubling that certifies it.
+# Truncation bound 880 pref/(13 kappa^4 U^13) over max|psi| that certifies a
+# window; 1.2-1.3 times the measured error (see PositionTransform).
 _WINDOW_REL_TOL = 1e-7
 # Smallest |xi| range a transform is built for (see _transform_for).
 _XI_FLOOR = 6.0
@@ -178,13 +179,17 @@ class PositionTransform:
       form (_remainder_transform), and its part inside the window is taken
       off the window weights.
 
-    The truncation error is that of the first omitted term of R, which
-    falls like U^-13.  Measured against U = 32 on the 9-point probe of
-    _converged_transform, relative to its largest |psi|, at kappa = 2.6,
-    4 and 10: 1.2e-6, 4.6e-7, 4.8e-7 at U = 3; 4.3e-8, 1.6e-8, 1.7e-8 at
-    U = 4; 3.0e-10, 1.1e-10, 1.1e-10 at U = 6.  R is what makes a narrow
-    window enough: with the window truncated bare, the error falls only
-    like U^-4.
+    The truncation error is that of the first term R omits,
+    T3 = -20 (22u^4 - 19u^2 + 1)/(kappa^4 (u^2+1)^9), |T3| <= 440/(kappa^4
+    u^14) for |u| >= 1: at every |xi| <= xi_abs_max (|e^{i kappa u xi}| = 1)
+    psi is off by at most pref 880/(13 kappa^4 U^13).  achieved_change is
+    that bound over max|psi| on the probe linspace(-4, 4, 9), clipped to the
+    range.  Against U = 24 on 2,001 points over |xi| <= 6 and 40, kappa =
+    0.2 to 40, it is 1.20-1.32 times the error at U = 6 (the exact integral
+    of |T3|: 1.00-1.04 times).  The 20-radian panels add an error of their
+    own that can pass the bound at kappa <= 1 and wide ranges (1.2e-8 against
+    7.2e-9 at kappa = 1, xi_abs_max = 20; 3.5e-8 against 1.9e-8 at 0.5, 40).
+    Without R the truncation error would fall only like U^-4.
 
     Cost of psi at n points over N nodes: when xi is an arithmetic
     progression (any linspace), about 2 sqrt(n) N complex exponentials and
@@ -210,8 +215,6 @@ class PositionTransform:
             raise DomainError(
                 f"window U = {self.u_max} must contain the stationary points "
                 f"+-sqrt(xi - 1) of every |xi| <= {self.xi_abs_max}")
-        # Set by _converged_transform on the window it certifies.
-        self.achieved_change: float | None = None
         k = params.kappa
         w_max = 1.0 + self.xi_abs_max  # largest |1 - xi| in the window
 
@@ -260,6 +263,11 @@ class PositionTransform:
         self._base = np.concatenate([window_base, ray_base]) \
             * np.exp(1j * k * self.xi_abs_max * self.nodes)
 
+        reach = min(self.xi_abs_max, 4.0)
+        scale = np.abs(self.psi(np.linspace(-reach, reach, 9))).max()
+        self.achieved_change = float(
+            self._pref * 880.0 / (13.0 * k ** 4 * self.u_max ** 13) / scale)
+
     def psi(self, xi):
         """Evaluate psi(xi) for scalar or array xi inside the window."""
         xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -290,7 +298,7 @@ class PositionTransform:
         return complex(out[0]) if np.isscalar(xi) else out
 
     def summary(self) -> dict:
-        """Window, |xi| range, nodes and certified change, for a sidecar."""
+        """Window, |xi| range, nodes and truncation bound, for a sidecar."""
         return {"u_max": self.u_max, "xi_abs_max": self.xi_abs_max,
                 "nodes": int(self.nodes.size),
                 "achieved_change": self.achieved_change}
@@ -299,34 +307,21 @@ class PositionTransform:
 @lru_cache(maxsize=8)
 def _converged_transform(params: ModelParams,
                          xi_abs_max: float) -> PositionTransform:
-    """Narrowest window U = 6, 12, 24, ... certified by the next doubling.
-
-    Each window is compared with the one twice as wide on a 9-point probe
-    grid.  The first pair whose psi differ by less than _WINDOW_REL_TOL
-    (relative to the probe's largest |psi|) returns its narrower member: the
-    truncation error falls like U^-13, so the wider window's own error is
-    ~1e-4 of the narrower one's and the measured change is the narrower
-    window's error.  The change is stored on the returned transform as
-    achieved_change.
+    """Narrowest window U = 6, 12, 24, ... whose truncation bound
+    achieved_change = 880 pref/(13 kappa^4 U^13)/max|psi| is below
+    _WINDOW_REL_TOL; it is 1.2-1.3 times the measured error (see
+    PositionTransform).  A window is built only when the one before failed.
     The first window also contains the stationary points +-sqrt(xi - 1) of
     every xi in range, so U starts above 6 when xi_abs_max > 31.25.
     """
-    probe = np.linspace(-min(xi_abs_max, 4.0), min(xi_abs_max, 4.0), 9)
-    u_first = max(6.0, math.sqrt(max(0.0, xi_abs_max - 1.0)) + 0.5)
-    current = PositionTransform(params, u_max=u_first, xi_abs_max=xi_abs_max)
-    ref = current.psi(probe)
-    scale = np.max(np.abs(ref))
-    for _ in range(4):
-        wider = PositionTransform(params, u_max=2.0 * current.u_max,
-                                  xi_abs_max=xi_abs_max)
-        new = wider.psi(probe)
-        change = float(np.max(np.abs(new - ref)) / scale)
-        if change < _WINDOW_REL_TOL:
-            current.achieved_change = change
-            return current
-        current, ref = wider, new
-    raise NonConvergenceError(
-        f"position transform window failed to converge (last change {change:.3g})")
+    u_max = max(6.0, math.sqrt(max(0.0, xi_abs_max - 1.0)) + 0.5)
+    for _ in range(5):
+        transform = PositionTransform(params, u_max=u_max, xi_abs_max=xi_abs_max)
+        if transform.achieved_change < _WINDOW_REL_TOL:
+            return transform
+        u_max *= 2.0
+    raise NonConvergenceError(f"position transform window failed to converge "
+                              f"(last bound {transform.achieved_change:.3g})")
 
 
 def _transform_for(params: ModelParams, xi) -> PositionTransform:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from tunnelclock import (
     HELIUM_IP,
     attoclock,
+    larmor,
     oscquad,
     DomainError,
     classical_trajectory,
@@ -87,6 +88,14 @@ NON_FINITE_CALLS = {
     "cubic_phase_integral lower":
         lambda x: oscquad.cubic_phase_integral(3.0, 1.0, lower=[0.0, x]),
     "attoclock_time u": lambda x: attoclock.attoclock_time(
+        params_from_kappa(HELIUM_IP, 3.0), x),
+    "classical_velocity x": lambda x: classical_velocity(
+        params_from_kappa(HELIUM_IP, 3.0), x),
+    "classical_trajectory t": lambda x: classical_trajectory(
+        params_from_kappa(HELIUM_IP, 3.0), x),
+    "position_from_u u": lambda x: position_from_u(
+        params_from_kappa(HELIUM_IP, 3.0), x),
+    "scaling_factor c": lambda x: larmor.scaling_factor(
         params_from_kappa(HELIUM_IP, 3.0), x),
 }
 

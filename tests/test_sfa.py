@@ -168,22 +168,76 @@ def test_window_12_agrees_with_window_48(kappa):
     assert np.max(np.abs(narrow - wide)) <= 1e-7 * np.max(np.abs(wide))
 
 
+def _probe_scale(transform):
+    """max|psi| on the 9-point probe the truncation bound is relative to."""
+    reach = min(transform.xi_abs_max, 4.0)
+    return np.abs(transform.psi(np.linspace(-reach, reach, 9))).max()
+
+
 @pytest.mark.parametrize("kappa", [2.6, 10.0])
-def test_certified_transform_is_narrower_of_passing_pair(kappa):
-    """The returned window is the one its doubling confirmed, and it is small."""
+def test_certified_transform_records_its_truncation_bound(kappa):
+    """The returned window is small, and it records the closed-form bound
+    880 pref / (13 kappa^4 U^13) of its own truncation, relative to the
+    probe's max|psi|."""
     p = params_from_kappa(HELIUM_IP, kappa)
     transform = sfa._converged_transform(p, 6.0)
+    assert transform.u_max == 6.0
     assert len(transform.nodes) <= 20_000
-    probe = np.linspace(-4.0, 4.0, 9)
-    ref = transform.psi(probe)
-    wider = sfa.PositionTransform(p, u_max=2.0 * transform.u_max).psi(probe)
-    change = np.max(np.abs(wider - ref)) / np.max(np.abs(ref))
-    assert change == pytest.approx(transform.achieved_change, rel=1e-6)
+    bound = transform._pref * 880.0 / (13.0 * kappa ** 4 * 6.0 ** 13)
+    assert transform.achieved_change == pytest.approx(
+        bound / _probe_scale(transform), rel=1e-12)
     assert transform.achieved_change < sfa._WINDOW_REL_TOL == 1e-7
     assert transform.summary() == {
         "u_max": transform.u_max, "xi_abs_max": 6.0,
         "nodes": len(transform.nodes),
         "achieved_change": transform.achieved_change}
+
+
+@pytest.mark.parametrize("xi_abs_max", [6.0, 40.0])
+@pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 40.0])
+def test_truncation_bound_covers_the_whole_xi_range(kappa, xi_abs_max):
+    """On 401 points over all of |xi| <= xi_abs_max (the probe covers only
+    |xi| <= 4), the certified window is within 1e-7 of max|psi| of a U = 24
+    build, and within its recorded bound.  U = 24 has a truncation bound
+    4^13 ~ 7e7 times below that of U = 6, so its own error is negligible;
+    U = 48 would cost 8x the nodes (2.4M at kappa = 40)."""
+    p = params_from_kappa(HELIUM_IP, kappa)
+    transform = sfa._converged_transform(p, xi_abs_max)
+    ref = sfa.PositionTransform(p, u_max=24.0, xi_abs_max=xi_abs_max)
+    xi = np.linspace(-xi_abs_max, xi_abs_max, 401)
+    got, want = (np.concatenate([t.psi(xi[i:i + 100])
+                                 for i in range(0, xi.size, 100)])
+                 for t in (transform, ref))
+    diff = np.abs(got - want).max()
+    assert diff <= 1e-7 * np.abs(want).max()
+    assert diff <= transform.achieved_change * _probe_scale(transform)
+
+
+def test_first_window_over_its_bound_is_widened():
+    """At kappa = 0.3 the U = 6 bound (6e-7) fails and U = 12 is returned."""
+    p = params_from_kappa(HELIUM_IP, 0.3)
+    assert sfa.PositionTransform(p, u_max=6.0).achieved_change > 1e-7
+    transform = sfa._converged_transform(p, 6.0)
+    assert transform.u_max == 12.0
+    assert transform.achieved_change < sfa._WINDOW_REL_TOL
+
+
+def test_one_transform_build_per_cache_miss(monkeypatch):
+    builds = []
+
+    class Counted(sfa.PositionTransform):
+        def __init__(self, *args, **kwargs):
+            builds.append(kwargs.get("u_max"))
+            super().__init__(*args, **kwargs)
+
+    sfa._converged_transform.cache_clear()
+    monkeypatch.setattr(sfa, "PositionTransform", Counted)
+    try:
+        sfa.psi_position(PARAMS, np.linspace(0.0, 3.0, 7))
+        sfa.psi_position(PARAMS, 1.5)
+    finally:
+        sfa._converged_transform.cache_clear()
+    assert builds == [6.0]
 
 
 def test_psi_scattered_equals_uniform_grid_values():
