@@ -12,6 +12,7 @@ vanishes at the detector by parity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,8 @@ def asymptotic_parity_split(params: ModelParams):
 
 def attoclock_trace(params: ModelParams, u_max: float, n: int = 64) -> AttoTrace:
     """Sample tau_A on u in [0, u_max] with the classical position map."""
+    if not math.isfinite(u_max):
+        raise DomainError(f"u_max must be finite, got {u_max!r}")
     if n < 16:
         raise DomainError("need at least 16 trace points")
     u = np.linspace(0.0, float(u_max), n)

@@ -130,7 +130,7 @@ def _attoclock(cfg, params):
 
 def _variational(cfg, params):
     res = variational.find_resonance(params)
-    tau = variational.larmor_time_variational(params, dv=cfg["dv"])
+    tau = variational.larmor_time_variational(params)
     defect = abs(variational.consistency_determinant(params, res.energy))
     rows = [["re_energy", res.energy.real],
             ["im_energy", res.energy.imag],
@@ -138,7 +138,8 @@ def _variational(cfg, params):
             ["lifetime", res.lifetime],
             ["tau_variational", tau]]
     return ["quantity", "value"], rows, {
-        "diagnostics": {"matching_defect": defect}}
+        "diagnostics": {"matching_defect": defect,
+                        "newton_steps": res.newton_steps}}
 
 
 def _ppt(cfg, _):
@@ -233,9 +234,7 @@ SCENARIOS = {
     "attoclock": (_attoclock, _MODEL + (
         Option("u_max", float, 10.0, "largest detector coordinate u"),
         Option("n_u", int, 101, "number of u values"))),
-    "variational": (_variational, _MODEL + (
-        Option("dv", float, lambda cfg, p: 1e-5 * p.ip,
-               "potential step of the phase derivative (default 1e-5 ip)"),)),
+    "variational": (_variational, _MODEL),
     "ppt_spectrum": (_ppt, (
         _IP,
         Option("omega", float, 0.569, "laser frequency (a.u.)"),

@@ -77,6 +77,8 @@ def larmor_time_trace(params: ModelParams, x_max: float, n: int = 64) -> TimeTra
     at kappa = 3, n = 121, x_max = 3 x0, falling 4x per halving of h, and
     9.3e-12 at kappa = 4, n = 25, where every position is a grid point.
     """
+    if not math.isfinite(x_max):
+        raise DomainError(f"x_max must be finite, got {x_max!r}")
     if params.kappa < 1.0:
         raise DomainError(f"scaling factor requires kappa >= 1, got {params.kappa}")
     if x_max <= params.x0:

@@ -1,13 +1,15 @@
 """Variational Larmor time from the stationary complex-energy problem.
 
 The delta-core + linear-field potential admits piecewise Airy solutions:
-a decaying Airy branch for x < 0, a shifted Airy pair in the barrier
-region 0 < x < x0 (where a small potential offset dV probes the time),
-and an outgoing combination Ai - i Bi beyond the exit.  Matching value
-and the delta-induced derivative jump at x = 0 plus value/derivative
-continuity at x = x0 yields an overdetermined 4x3 linear system; its
-consistency condition locates the decaying resonance, and the dV
-derivative of the transmitted phase gives the Larmor time.
+a decaying Airy branch for x < 0, an Airy pair in the barrier region
+0 < x < x0 (where a potential offset V probes the time), and an outgoing
+combination Ai - i Bi beyond the exit.  Matching value and the
+delta-induced derivative jump at x = 0 plus value/derivative continuity at
+x = x0 yields an overdetermined 4x3 linear system; its consistency
+condition locates the decaying resonance, and the V derivative of the
+transmitted phase gives the Larmor time.  Every entry is an Airy function
+at an argument linear in E and V, and Ai'' = z Ai, so both derivatives
+are taken in closed form.
 
 A square-barrier scattering demonstration of the weak-value/variational
 equivalence is included.
@@ -26,21 +28,11 @@ from . import specfun
 from .errors import DomainError, NonConvergenceError
 from .model import ModelParams
 
-# larmor_time_variational fails when halving dv moves tau by more than this.
-_DV_STABILITY_TOL = 0.01
-# ... or when the matching system at the resonance has a smaller ratio of
-# smallest to largest singular value than this.
+# larmor_time_variational refuses a matching system at the resonance whose
+# ratio of smallest to largest singular value is below this.
 _RANK_TOL = 1e-13
 # Largest q*a of a square barrier: e^{-4qa} is still a normal double.
 _MAX_QA = 177.0
-
-
-@dataclass(frozen=True)
-class MatchingSolution:
-    """Least-squares solution of the Airy matching system."""
-
-    coefficients: tuple  # (A0, B0, AR)
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -48,8 +40,9 @@ class Resonance:
     """Decaying (outgoing-wave) eigenstate."""
 
     energy: complex
-    width: float      # Gamma = -2 Im E
-    lifetime: float   # 1 / Gamma
+    width: float       # Gamma = -2 Im E
+    lifetime: float    # 1 / Gamma
+    newton_steps: int  # Newton iterations that found it
 
 
 def _airy_scales(params: ModelParams):
@@ -58,48 +51,56 @@ def _airy_scales(params: ModelParams):
     return beta, ell
 
 
-def _matching_system(params: ModelParams, energy: complex, dv: float):
-    """4x3 matrix and right-hand side of the matching conditions."""
+def _airy_matrix(z: complex):
+    """W = [[Ai, Bi], [Ai', Bi']] at z and dW/dz = [[Ai', Bi'], z [Ai, Bi]]."""
+    a = specfun.airy(z)
+    w = np.array([[a.ai, a.bi], [a.ai_prime, a.bi_prime]])
+    return w, np.array([w[1], z * w[0]])
+
+
+def _matching_system(params: ModelParams, energy: complex):
+    """[M | rhs] of the matching conditions and its Airy-argument derivative.
+
+    Columns A0, B0, AR and rhs; rows: value and derivative jump at x = 0,
+    value and derivative continuity at x0.  Every entry is linear in Airy
+    values at s = -E/beta or s + x0/ell, so d[M | rhs]/dE is the returned
+    derivative times -1/beta.  A potential offset V in the barrier shifts
+    only the A0 and B0 columns' argument, by +V/beta.
+    """
     beta, ell = _airy_scales(params)
     s = -energy / beta
-    s0 = -(energy - dv) / beta
-    z_exit = params.x0 / ell
-    a_s = specfun.airy(s)
-    a_s0 = specfun.airy(s0)
-    a_b0 = specfun.airy(s0 + z_exit)
-    a_b = specfun.airy(s + z_exit)
-    out = a_b.ai - 1j * a_b.bi
-    out_p = a_b.ai_prime - 1j * a_b.bi_prime
-    m = np.array([
-        [a_s0.ai, a_s0.bi, 0.0],
-        [a_s0.ai_prime, a_s0.bi_prime, 0.0],
-        [a_b0.ai, a_b0.bi, -out],
-        [a_b0.ai_prime, a_b0.bi_prime, -out_p],
-    ], dtype=complex)
-    rhs = np.array([
-        a_s.ai,
-        a_s.ai_prime - 2.0 * params.kappa_tilde * ell * a_s.ai,
-        0.0,
-        0.0,
-    ], dtype=complex)
-    return m, rhs
+    jump = 2.0 * params.kappa_tilde * ell
+    w_s, dw_s = _airy_matrix(s)
+    w_b, dw_b = _airy_matrix(s + params.x0 / ell)
+
+    def assemble(at_0, at_x0):
+        aug = np.zeros((4, 4), dtype=complex)
+        aug[:2, :2], aug[2:, :2] = at_0, at_x0
+        aug[2:, 2] = 1j * at_x0[:, 1] - at_x0[:, 0]
+        aug[:2, 3] = at_0[:, 0] - (0.0, jump * at_0[0, 0])
+        return aug
+
+    return assemble(w_s, w_b), assemble(dw_s, dw_b)
 
 
-def solve_matching(params: ModelParams, energy: complex,
-                   dv: float = 0.0) -> MatchingSolution:
-    """Least-squares coefficients (A0, B0, AR) and the defect norm."""
-    m, rhs = _matching_system(params, energy, dv)
-    coeff, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    defect = m @ coeff - rhs
-    return MatchingSolution(
-        coefficients=tuple(coeff), residual=float(np.linalg.norm(defect)))
-
-
-def consistency_determinant(params: ModelParams, energy: complex,
-                            dv: float = 0.0) -> complex:
+def consistency_determinant(params: ModelParams, energy: complex) -> complex:
     """det[M | rhs]; vanishes exactly when the 4x3 system is consistent."""
-    m, rhs = _matching_system(params, energy, dv)
-    return complex(np.linalg.det(np.column_stack([m, rhs])))
+    return complex(np.linalg.det(_matching_system(params, energy)[0]))
+
+
+def _determinant_and_slope(params: ModelParams, energy: complex):
+    """det[M | rhs] and its exact E derivative, from one matching system.
+
+    Jacobi's formula in row-replacement form, d det A = sum_i det(A with
+    row i replaced by row i of dA); unlike det A tr(A^-1 dA) it holds at
+    the root, where A is singular.
+    """
+    aug, d_aug = _matching_system(params, energy)
+    stack = np.repeat(aug[None], 5, axis=0)
+    rows = np.arange(4)
+    stack[rows + 1, rows] = d_aug
+    det = np.linalg.det(stack)
+    return complex(det[0]), complex(-det[1:].sum() / _airy_scales(params)[0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -108,33 +109,38 @@ def find_resonance(params: ModelParams) -> Resonance:
 
     The determinant is analytic in E, so a complex Newton step from the
     unperturbed bound energy -ip converges to the decaying resonance: at
-    most 80 steps, until |step| < 1e-13 |E|.  Cached per params.
+    most 80 steps, until the Newton step is below 1e-13 |E|.  The slope is
+    exact (_determinant_and_slope), so each trial point costs one matching
+    system, two Airy evaluations: 3-5 per resonance at ip = HELIUM_IP,
+    kappa 1-60.  Against a 40-digit mpmath root at kappa in {2, 4, 10, 20},
+    E is within 3.2e-14 relative and the width within 5.9e-14 (3.1e-13 at
+    kappa 30).  From kappa = 32.75 at ip = HELIUM_IP the width is 2.0 times
+    the mpmath width: Im E is below the rounding of Re E, and scipy's Im Bi
+    at the near-real s = -E/beta >= 10.24 is 0.8 % off.  Cached per params.
     """
     if params.kappa < 1.0:
         raise DomainError("resonance search requires kappa >= 1")
     e = complex(-params.ip)
     scale = params.ip
-    f = consistency_determinant(params, e)
-    for _ in range(80):
-        h = 1e-7 * scale
-        fp = (consistency_determinant(params, e + h)
-              - consistency_determinant(params, e - h)) / (2.0 * h)
+    f, fp = _determinant_and_slope(params, e)
+    for steps in range(1, 81):
         if fp == 0:
             raise NonConvergenceError("determinant derivative vanished")
         step = -f / fp
+        if abs(step) < 1e-13 * abs(e):
+            e = e + step
+            break
         # damping: keep the step inside the search radius and decreasing |f|
         max_step = 0.5 * scale
         if abs(step) > max_step:
             step *= max_step / abs(step)
         for _ in range(25):
-            f_new = consistency_determinant(params, e + step)
+            f_new, fp_new = _determinant_and_slope(params, e + step)
             if abs(f_new) < abs(f):
                 break
             step *= 0.5
         e = e + step
-        f = f_new
-        if abs(step) < 1e-13 * abs(e):
-            break
+        f, fp = f_new, fp_new
     else:
         raise NonConvergenceError(
             f"resonance Newton did not converge (last step {abs(step):.3g})")
@@ -142,50 +148,40 @@ def find_resonance(params: ModelParams) -> Resonance:
         raise NonConvergenceError(
             f"converged to a non-decaying energy {e}; no physical resonance")
     width = -2.0 * e.imag
-    return Resonance(energy=e, width=width, lifetime=1.0 / width)
+    return Resonance(energy=e, width=width, lifetime=1.0 / width,
+                     newton_steps=steps)
 
 
-def _transmitted_phase(params: ModelParams, energy: complex, dv: float) -> float:
-    """arg of the transmitted coefficient AR at fixed complex energy."""
-    sol = solve_matching(params, energy, dv)
-    return cmath.phase(sol.coefficients[2])
+def larmor_time_variational(params: ModelParams) -> float:
+    """tau = -d(arg AR)/dV at the resonance energy, in closed form.
 
-
-def larmor_time_variational(params: ModelParams,
-                            dv: float | None = None) -> float:
-    """tau = -d(arg AR)/dV at the resonance energy, by central differences.
-
-    The outgoing Airy factor at x = x0 is dV-independent, so the phase of
-    the transmitted wave at the exit moves only through AR.  A dv that is
-    not finite and positive raises DomainError.  Raises NonConvergenceError
-    when halving dv moves tau by more than _DV_STABILITY_TOL relative (from
-    kappa = 49 at the default dv), and then when the matching system at the
-    resonance has a singular-value ratio below _RANK_TOL (from kappa = 43.5
-    at ip = HELIUM_IP: 1.1e-13 at kappa 43, 2.9e-14 at 45, 1.6e-16 at 52.75).
+    AR is the third component of the least-squares solution x = M^+ rhs,
+    and only M's A0 and B0 columns depend on V.  At the resonance the
+    system is consistent, so the residual r = rhs - M x vanishes and the
+    pseudo-inverse derivative (Golub & Pereyra, SIAM J. Numer. Anal. 10
+    (1973) 413) reduces to dx/dV = -M^+ (dM/dV) x: one more lstsq with M.
+    Its residual term (M^H M)^-1 (dM/dV)^H r is left out on purpose: the
+    computed r is rounding noise, which the term scales by 1/sigma_min^2
+    (it moved tau by up to 2.3e-4 relative, at kappa 41.75).  Equilibrating
+    M's columns is not done either: it made tau 1.0e-9 off at kappa 20.
+    Against a 40-digit mpmath derivative of the same least-squares phase,
+    residual term included: 1.2e-13 relative at kappa 2, 6.3e-15 at 4,
+    3.4e-12 at 10, 2.4e-12 at 20, 5.4e-10 at 25 and 7.5e-9 at 30.
+    Raises NonConvergenceError when the matching system at the resonance
+    has a singular-value ratio below _RANK_TOL: from kappa = 43.25 at
+    ip = HELIUM_IP (1.1e-13 at kappa 43, 9.4e-14 at 43.25, 1.0e-15 at 50).
     """
-    if dv is None:
-        dv = 1e-5 * params.ip
-    if not (math.isfinite(dv) and dv > 0.0):
-        raise DomainError(f"dv must be finite and positive, got {dv!r}")
     e0 = find_resonance(params).energy
-
-    def tau_of(h: float) -> float:
-        dphi = _transmitted_phase(params, e0, h) \
-            - _transmitted_phase(params, e0, -h)
-        return -dphi / (2.0 * h)
-
-    coarse = tau_of(dv)
-    fine = tau_of(0.5 * dv)
-    if not abs(fine - coarse) <= _DV_STABILITY_TOL * abs(fine):
-        raise NonConvergenceError(
-            f"variational time unstable under dv halving "
-            f"({coarse:.6g} -> {fine:.6g})")
-    sv = np.linalg.svd(_matching_system(params, e0, 0.0)[0], compute_uv=False)
+    aug, d_aug = _matching_system(params, e0)
+    m = aug[:, :3]
+    x, _, _, sv = np.linalg.lstsq(m, aug[:, 3], rcond=None)
     if not sv[-1] >= _RANK_TOL * sv[0]:
         raise NonConvergenceError(
             f"matching system at the resonance is rank-deficient "
             f"(sv ratio {sv[-1] / sv[0]:.3g} < {_RANK_TOL:g})")
-    return fine
+    dm_x = d_aug[:, :2] @ x[:2] / _airy_scales(params)[0]
+    y = np.linalg.lstsq(m, dm_x, rcond=None)[0]
+    return float((y[2] / x[2]).imag)
 
 
 # ----------------------------------------------------------------------

@@ -112,3 +112,50 @@ def barrier_psi_initial(barrier, x):
     """Left-incident solution of a variational.SquareBarrier inside it."""
     x = np.asarray(x, dtype=complex)
     return barrier.c * np.exp(barrier.q * x) + barrier.d * np.exp(-barrier.q * x)
+
+
+def _matching_rows_by_mpmath(mpmath, params, energy, dv):
+    """Rows [A0, B0, AR | rhs] of variational's matching system at working
+    precision, with the potential offset dv in the barrier's Airy pair."""
+    field = mpmath.mpf(params.field)
+    beta = mpmath.cbrt(field ** 2 / 2)
+    ell = -beta / field
+    s, s0 = -energy / beta, -(energy - dv) / beta
+    z_exit = mpmath.mpf(params.x0) / ell
+    jump = 2 * mpmath.sqrt(2 * mpmath.mpf(params.ip)) * ell
+
+    def pair(z, d):
+        return [mpmath.airyai(z, derivative=d), mpmath.airybi(z, derivative=d)]
+
+    ai, aip = (mpmath.airyai(s, derivative=d) for d in (0, 1))
+    out, out_p = (a - 1j * b for a, b in (pair(s + z_exit, 0),
+                                          pair(s + z_exit, 1)))
+    return [pair(s0, 0) + [0, ai],
+            pair(s0, 1) + [0, aip - jump * ai],
+            pair(s0 + z_exit, 0) + [-out, 0],
+            pair(s0 + z_exit, 1) + [-out_p, 0]]
+
+
+def resonance_by_mpmath(mpmath, params, start):
+    """Root of det[M | rhs] near `start` at the working precision."""
+    def det(energy):
+        return mpmath.det(mpmath.matrix(
+            _matching_rows_by_mpmath(mpmath, params, energy, 0)))
+
+    return mpmath.findroot(det, mpmath.mpc(start))
+
+
+def lsq_phase_time_by_mpmath(mpmath, params, energy):
+    """-d arg(AR)/dV of the least-squares AR = (M^H M)^-1 M^H rhs, the
+    whole pseudo-inverse derivative, by mpmath.diff at `energy`.
+
+    arg is taken of AR(V) AR(0)^*, which stays near 0, so the difference
+    stencil never straddles the branch cut."""
+    def ar(dv):
+        rows = _matching_rows_by_mpmath(mpmath, params, energy, dv)
+        m = mpmath.matrix([row[:3] for row in rows])
+        rhs = mpmath.matrix([row[3] for row in rows])
+        return mpmath.lu_solve(m.H * m, m.H * rhs)[2]
+
+    ref = mpmath.conj(ar(0))
+    return -mpmath.diff(lambda dv: mpmath.arg(ar(dv) * ref), 0)

@@ -143,11 +143,24 @@ def test_scattering_demo_sidecar_diagnostics(tmp_path):
     assert "tolerances" not in side
 
 
-def test_variational_sidecar_records_dv_once(tmp_path):
+def test_variational_takes_no_dv(tmp_path):
+    """The time is an exact derivative: a dv flag or config key exits 2
+    and writes nothing."""
     out = tmp_path / "v.csv"
-    assert run_cli(["variational", "--dv", "2e-5", "--out", str(out)]) == 0
+    assert exit_code(["variational", "--dv", "2e-5", "--out", str(out)]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dv": 2e-5}))
+    assert exit_code(["variational", "--config", str(cfg),
+                      "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_variational_sidecar_records_newton_steps(tmp_path):
+    out = tmp_path / "v.csv"
+    assert run_cli(["variational", "--kappa", "4", "--out", str(out)]) == 0
     side = json.loads((tmp_path / "v.json").read_text())
-    assert side["config"]["dv"] == 2e-5
+    steps = side["diagnostics"]["newton_steps"]
+    assert type(steps) is int and 1 <= steps <= 80
     assert "tolerances" not in side
 
 

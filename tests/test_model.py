@@ -1,6 +1,7 @@
 """Model parameter derivations and classical kinematics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,3 +106,20 @@ NON_FINITE_CALLS = {
 def test_non_finite_input_raises_domain_error(name, bad):
     with pytest.raises(DomainError):
         NON_FINITE_CALLS[name](bad)
+
+
+TRACE_LIMITS = {
+    "u_max": attoclock.attoclock_trace,
+    "x_max": larmor.larmor_time_trace,
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(TRACE_LIMITS))
+def test_non_finite_trace_limit_is_named(name, bad):
+    """The trace's own check names its limit before numpy warns or an
+    unrelated check fires."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=name):
+            TRACE_LIMITS[name](params_from_kappa(HELIUM_IP, 3.0), bad)
