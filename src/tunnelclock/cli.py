@@ -146,7 +146,9 @@ def _ppt(cfg, _):
     pulse = ppt_mod.pulse_from_gamma(cfg["ip"], cfg["omega"], cfg["gamma"],
                                      cfg["envelope"])
     p_grid = np.linspace(cfg["p_min"], cfg["p_max"], cfg["n_p"])
-    theta_grid = np.linspace(-math.pi, math.pi, cfg["n_theta"])
+    # exactly antisymmetric, so spectrum solves each |theta| once
+    lin = np.linspace(-math.pi, math.pi, cfg["n_theta"])
+    theta_grid = 0.5 * (lin - lin[::-1])
     grid = ppt_mod.spectrum(pulse, p_grid, theta_grid)
     p_mesh, theta_mesh = np.meshgrid(p_grid, theta_grid, indexing="ij")
     rows = np.column_stack([p_mesh.ravel(), theta_mesh.ravel(),
@@ -159,7 +161,8 @@ def _ppt(cfg, _):
             "max_saddle_residual": float(
                 grid.saddle_residuals[~grid.flags].max()),
             "newton_sweeps": grid.newton_sweeps,
-            "node_iterations": grid.node_iterations}}
+            "node_iterations": grid.node_iterations,
+            "solved_nodes": grid.solved_nodes}}
 
 
 def _wronskian_defects(barrier):

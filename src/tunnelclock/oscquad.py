@@ -104,6 +104,8 @@ def _gk15(f: Callable, a: float, b: float) -> tuple[complex, float]:
 
 def gl_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """16-point Gauss-Legendre nodes and weights on consecutive panels."""
+    if not np.isfinite(edges).all():
+        raise DomainError("gl_panels needs finite edges")
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     return ((mid[:, None] + half[:, None] * _GL_X[None, :]).ravel(),

@@ -195,6 +195,7 @@ class SpectrumGrid:
     flags: np.ndarray          # True where no physical saddle was found
     newton_sweeps: int = 0       # passes over the live nodes
     node_iterations: int = 0     # Newton steps summed over nodes
+    solved_nodes: int = 0        # (p, |theta|) nodes Newton ran on
 
 
 def spectrum(pulse: PulseParams, p_grid, theta_grid) -> SpectrumGrid:
@@ -204,12 +205,18 @@ def spectrum(pulse: PulseParams, p_grid, theta_grid) -> SpectrumGrid:
     cycles n in {-1, 0, 1} with |Re t| <= 2 pi / w, switches the cos4
     envelope on in homotopy steps (`_newton_roots`), keeps the end points
     with |f| < 1e-10 (p^2 + 2 ip) as roots, and of those the one `_select`
-    picks.
+    picks.  A0(t) is real and even, so f(-conj t; p, -theta) = conj f(t; p,
+    theta): the saddle at -theta is -conj of the one at theta, with the same
+    Im S.  Newton therefore runs only at the distinct |theta| of the grid,
+    and each theta < 0 node takes the mirror of its |theta| partner; a grid
+    whose theta < 0 values negate exactly to its theta > 0 ones (the CLI's)
+    costs half the solves, any other grid the same as solving every node.
     """
     p_grid, theta_grid = _finite(p_grid, theta_grid)
     if p_grid.size == 0 or theta_grid.size == 0 or not np.all(p_grid > 0.0):
         raise DomainError("grids must be non-empty, with p > 0")
-    pp, tt = np.meshgrid(p_grid, theta_grid, indexing="ij")
+    abs_theta, back = np.unique(np.abs(theta_grid), return_inverse=True)
+    pp, tt = np.meshgrid(p_grid, abs_theta, indexing="ij")
     cycles = np.array([-1.0, 0.0, 1.0])[:, None, None]
     seeds = _constant_saddle(pulse, pp, tt, cycles)
     seeds[np.abs(seeds.real) > 2.0 * math.pi / pulse.omega] = _NAN
@@ -225,10 +232,13 @@ def spectrum(pulse: PulseParams, p_grid, theta_grid) -> SpectrumGrid:
     top = weights.max()
     if top > 0.0:
         weights = weights / top
+    sel = sel[:, back]
     return SpectrumGrid(p_values=p_grid, theta_values=theta_grid,
-                        weights=weights, saddle_times=sel,
-                        saddle_residuals=resid, flags=flags,
-                        newton_sweeps=sweeps, node_iterations=steps)
+                        weights=weights[:, back],
+                        saddle_times=np.where(theta_grid < 0, -sel.conj(), sel),
+                        saddle_residuals=resid[:, back], flags=flags[:, back],
+                        newton_sweeps=sweeps, node_iterations=steps,
+                        solved_nodes=flags.size)
 
 
 def offset_angle(grid: SpectrumGrid) -> float:

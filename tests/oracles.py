@@ -60,6 +60,29 @@ def saddle_analytic(pulse, p: float, theta: float) -> complex:
     return complex(ppt._constant_saddle(pulse, p, theta, 0))
 
 
+def spectrum_direct(pulse, p_grid, theta_grid):
+    """ppt.spectrum solved at every node at its own theta, without the
+    mirror: the same seeds, Newton homotopy, root filter and `_select`."""
+    p_grid, theta_grid = ppt._finite(p_grid, theta_grid)
+    pp, tt = np.meshgrid(p_grid, theta_grid, indexing="ij")
+    cycles = np.array([-1.0, 0.0, 1.0])[:, None, None]
+    seeds = ppt._constant_saddle(pulse, pp, tt, cycles)
+    seeds[np.abs(seeds.real) > 2.0 * math.pi / pulse.omega] = ppt._NAN
+    ends, resid, sweeps, steps = ppt._newton_roots(pulse, pp, tt, seeds)
+    roots = np.where(resid < 1e-10 * (pp * pp + 2.0 * pulse.ip), ends,
+                     ppt._NAN)
+    sel, resid = ppt._select(roots, resid, tt, pulse.omega)
+    flags = np.isnan(sel)
+    with np.errstate(invalid="ignore"):  # NaN at the flagged nodes
+        im_s = ppt.action_im(pulse, pp, tt, sel)
+    weights = np.where(flags, 0.0, np.exp(2.0 * im_s))
+    return ppt.SpectrumGrid(
+        p_values=p_grid, theta_values=theta_grid,
+        weights=weights / weights.max(), saddle_times=sel,
+        saddle_residuals=resid, flags=flags, newton_sweeps=sweeps,
+        node_iterations=steps, solved_nodes=flags.size)
+
+
 def scaling_factor_limit(params) -> complex:
     """The defining limit of larmor.scaling_factor with the saddle form.
 

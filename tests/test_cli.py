@@ -285,6 +285,23 @@ def test_ppt_sidecar_reports_newton_work(tmp_path):
     assert 4 <= diag["newton_sweeps"] <= diag["node_iterations"]
 
 
+def test_ppt_default_spectrum_is_an_exact_mirror(tmp_path):
+    """The CLI's theta grid is exactly antisymmetric: Newton runs on the
+    100 x 91 (p, |theta|) nodes, the weights equal their theta-reverse bit
+    for bit, and the offset angle is 0 (within rounding at even n_theta)."""
+    assert run_cli(["ppt_spectrum", "--out", str(tmp_path / "s.csv")]) == 0
+    side = json.loads((tmp_path / "s.json").read_text())
+    rows = np.array(read_csv(tmp_path / "s.csv")[1:], dtype=float)
+    weights = rows[:, 2].reshape(100, 181)
+    assert np.array_equal(weights, weights[:, ::-1])
+    assert side["offset_angle"] == 0.0
+    assert side["diagnostics"]["solved_nodes"] == 100 * 91
+    assert run_cli(["ppt_spectrum", "--n-theta", "180",
+                    "--out", str(tmp_path / "e.csv")]) == 0
+    side = json.loads((tmp_path / "e.json").read_text())
+    assert abs(side["offset_angle"]) <= 1e-12
+
+
 def exit_code(argv):
     """cli.main's exit code, including argparse's own exits."""
     try:

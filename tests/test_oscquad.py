@@ -132,6 +132,13 @@ def test_invalid_arguments():
     assert oscquad.integrate_finite(np.exp, 1.0, 1.0).value == 0j
 
 
+@pytest.mark.parametrize("edges", [[0.0, math.nan, 1.0], [0.0, math.inf],
+                                   [-math.inf, 0.0]])
+def test_gl_panels_rejects_non_finite_edges(edges):
+    with pytest.raises(DomainError, match="edges"):
+        oscquad.gl_panels(np.array(edges))
+
+
 PREFACTORS = {"numerator": attoclock._g_delay, "denominator": sfa._overlap_g}
 
 

@@ -146,6 +146,43 @@ def test_spectrum_mirror_symmetry_at_next_lobe_input():
         assert not grid.flags.any()
 
 
+def _cli_theta_grid(n):
+    lin = np.linspace(-math.pi, math.pi, n)
+    return 0.5 * (lin - lin[::-1])
+
+
+@pytest.mark.parametrize("gamma, n_p, theta_grid", [
+    (0.562521410551148, 139, np.linspace(-math.pi, math.pi, 197)),
+    (0.5624864852237789, 139, np.linspace(-math.pi, math.pi, 197)),
+    (0.75, 20, _cli_theta_grid(61))],
+    ids=["next_lobe_a", "next_lobe_b", "reference_cli_grid"])
+def test_mirrored_half_matches_direct_solve(gamma, n_p, theta_grid):
+    """The theta < 0 half, taken from the mirror of the theta > 0 solve,
+    against Newton run at every node's own theta (the next-lobe inputs
+    above, and the reference ppt_spectrum input on the CLI grid)."""
+    pulse = ppt.pulse_from_gamma(HELIUM_IP, 0.569, gamma, envelope="cos4")
+    p_grid = np.linspace(0.2, 3.0 * math.sqrt(2.0 * HELIUM_IP) / gamma, n_p)
+    grid = ppt.spectrum(pulse, p_grid, theta_grid)
+    direct = oracles.spectrum_direct(pulse, p_grid, theta_grid)
+    assert np.abs(grid.weights - direct.weights).max() <= 1e-8
+    assert np.array_equal(grid.flags, direct.flags)
+    neg = (theta_grid[None, :] < 0.0) & ~grid.flags
+    pp, tt = np.meshgrid(p_grid, theta_grid, indexing="ij")
+    resid = np.abs(ppt.saddle_function(pulse, pp[neg], tt[neg],
+                                       grid.saddle_times[neg]))
+    assert np.all(resid < 1e-10 * (pp[neg] ** 2 + 2.0 * HELIUM_IP))
+
+
+def test_spectrum_solves_each_abs_theta_once():
+    theta_grid = _cli_theta_grid(21)
+    grid = ppt.spectrum(COS4, np.linspace(0.3, 3.5, 12), theta_grid)
+    assert grid.solved_nodes == 12 * 11
+    assert np.array_equal(grid.weights, grid.weights[:, ::-1])
+    skewed = ppt.spectrum(COS4, np.linspace(0.3, 3.5, 12),
+                          np.linspace(-3.0, 3.1, 21))
+    assert skewed.solved_nodes == 12 * 21
+
+
 def test_spectrum_without_any_saddle_raises(monkeypatch):
     def nowhere_zero(pulse, p, theta, t):
         return np.ones(np.shape(t), dtype=complex)
