@@ -117,7 +117,7 @@ def _larmor(cfg, params):
     # reads psi on the barrier, xi in [0, 1].
     return ["x", "re_tau", "im_tau"], rows, {
         "plateau_re_tau": float(trace.times[-1].real),
-        "transform": sfa._transform_for(params, 1.0).summary()}
+        "transform": sfa._transform_for(params, 0.0).summary()}
 
 
 def _attoclock(cfg, params):

@@ -8,12 +8,13 @@ tunnel exit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .sfa import ComplexGrid1D, _progression_split
+from .sfa import ComplexGrid1D
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,26 @@ class PhaseSpaceGrid:
             raise DomainError("width must be positive")
         if np.any(self.magnitude < 0.0):
             raise DomainError("magnitudes must be non-negative")
+
+
+def _progression_split(s: np.ndarray):
+    """Anchors and offsets of the index split j = b B + r of a flat array.
+
+    When s is an arithmetic progression s_j = s_0 + j h, to within
+    4 eps max|s| in every element, B = isqrt(n), the anchors are s_0 + b B h
+    for b < ceil(n/B) and the offsets r h for r < B, so that
+    s_{bB+r} = anchor_b + offset_r.  Any other s gives B = 1: the anchors
+    are s itself and the one offset is 0.
+    """
+    n = s.size
+    if n >= 4:
+        h = (s[-1] - s[0]) / (n - 1)
+        drift = np.abs(s - (s[0] + h * np.arange(n))).max()
+        if drift <= 4.0 * np.finfo(float).eps * np.abs(s).max():
+            block = math.isqrt(n)
+            return (s[0] + h * (block * np.arange(-(-n // block))),
+                    h * np.arange(block))
+    return s, np.zeros(1)
 
 
 def _check_coverage(xs: np.ndarray, x: float, width: float) -> None:
@@ -62,7 +83,7 @@ def husimi_grid(psi: ComplexGrid1D, x_grid, p_grid, width: float) -> PhaseSpaceG
     F[j, m] = w_j psi(x'_j) e^{-i p_m x'_j}, w the trapezoid weights of the
     psi grid: the same sum husimi_point takes cell by cell.  On a uniform
     psi grid the phases e^{-i p x'} are anchor times offset phases
-    (sfa._progression_split), one complex multiply per entry; the real W
+    (_progression_split), one complex multiply per entry; the real W
     multiplies the real and imaginary parts of F in one real product.
     """
     x_grid = np.asarray(x_grid, dtype=float)

@@ -1,16 +1,15 @@
 """Strong-field-approximation solution of the 1D static-field model.
 
 Provides the ionization integral behind the exact momentum-space
-wavefunction, its numeric Fourier transform to position space
-(psi_position), and the closed saddle-point forms (amplitude_A,
-psi_position_saddle) used as analytic cross-checks.  The global phase
+wavefunction, the position-space wavefunction from the Airy Green's
+function (psi_position), and the saddle-point value amplitude_A used as an
+analytic cross-check.  The global phase
 exp(i*ip*t) of the stationary solution is dropped throughout; only
 relative phases enter the time observables.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import oscquad, specfun
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError
 from .model import ModelParams
 
 # Poles of the bound-state overlap prefactor u/(u^2+1)^2.
@@ -69,273 +68,129 @@ def amplitude_A(params: ModelParams) -> float:
     return -0.5 * math.sqrt(params.kappa * math.pi) * math.exp(-2.0 * params.kappa / 3.0)
 
 
-def _saddle_prefactor(params: ModelParams) -> complex:
-    """i sqrt(2) pi x0 kappa^{-5/6} e^{-2k/3}: psi_position_saddle's factor."""
-    k = params.kappa
-    return 1j * math.sqrt(2.0) * math.pi * params.x0 * k ** (-5.0 / 6.0) \
-        * math.exp(-2.0 * k / 3.0)
-
-
-def psi_position_saddle(params: ModelParams, xi):
-    """Fourier transform of the saddle form: Airy/Scorer closed expression.
-
-    psi_S(xi) = i sqrt(2) pi x0 kappa^{-5/6} e^{-2k/3}
-                * [Ai - i Gi](kappa^{2/3} (1 - xi))
-    """
-    pref = _saddle_prefactor(params)
-    arg = params.kappa ** (2.0 / 3.0) * (1.0 - np.asarray(xi, dtype=float))
-    out = pref * (specfun.ai_real(arg) - 1j * specfun.scorer_gi(arg))
-    return complex(out) if np.isscalar(xi) else out
-
-
-# Rotated tail ray u = U + s*e^{-i pi/6} (as in oscquad) and the decay, in
-# e-folds at the widest xi, at which the fixed rule on it stops.
-_RAY = cmath.exp(-1j * math.pi / 6.0)
-_RAY_DECAY = 40.0
-# psi(xi) is evaluated in blocks of about this many kernel entries.
-_PSI_BLOCK = 1 << 21
-# Largest local phase advance, in radians, across one window panel.
-_PHASE_BUDGET = 20.0
-# Truncation bound 880 pref/(13 kappa^4 U^13) over max|psi| that certifies a
-# window; 1.2-1.3 times the measured error (see PositionTransform).
-_WINDOW_REL_TOL = 1e-7
-# Smallest |xi| range a transform is built for (see _transform_for).
-_XI_FLOOR = 6.0
-
-
-def _window_remainder(kappa: float, u):
-    """Non-oscillatory limit R(u) of e^{-i kappa phi(u)} I(u) for large |u|.
-
-    Repeated integration by parts of I(u) gives, with h(t) = g(t)/phi'(t),
-        e^{-i kappa phi(u)} I(u) -> R(u) + theta(u) I(inf) e^{-i kappa phi(u)},
-        R(u) = i h/kappa + (5u^2 - 1)/(kappa^2 (u^2+1)^5)
-               + 20 i u (1 - 2u^2)/(kappa^3 (u^2+1)^7),
-    the same rational function on both sides of the window (the left and
-    right expansions are conjugate, and g is odd).  The first omitted term
-    is O(kappa^-4 |u|^-14).
-    """
-    q = u * u + 1.0
-    return (1j * u / (kappa * q ** 3) + (5.0 * u * u - 1.0) / (kappa ** 2 * q ** 5)
-            + 20j * u * (1.0 - 2.0 * u * u) / (kappa ** 3 * q ** 7))
-
-
-def _remainder_transform(kappa: float, xi: np.ndarray) -> np.ndarray:
-    """integral over the real line of R(u) e^{i kappa u xi} du, in closed form.
-
-    R is rational with poles at +-i only, so closing the contour in the
-    half plane where e^{i a u} decays (a = kappa xi) leaves one residue:
-    -pi e^{-|a|} times a polynomial in |a|, odd terms carrying sign(a).
-    """
-    a = kappa * xi
-    b = np.abs(a)
-    odd = (b * b + b) / (8.0 * kappa) + (
-        b ** 6 / 768.0 + 7.0 * b ** 5 / 768.0 + 25.0 * b ** 4 / 768.0
-        + 5.0 * b ** 3 / 64.0 + 35.0 * b * b / 256.0 + 35.0 * b / 256.0) / kappa ** 3
-    even = (b ** 4 / 64.0 + 5.0 * b ** 3 / 96.0 + 5.0 * b * b / 64.0
-            + 5.0 * b / 64.0 + 5.0 / 64.0) / kappa ** 2
-    return -math.pi * np.exp(-b) * (np.sign(a) * odd + even)
-
-
-def _progression_split(s: np.ndarray):
-    """Anchors and offsets of the index split j = b B + r of a flat array.
-
-    When s is an arithmetic progression s_j = s_0 + j h, to within
-    4 eps max|s| in every element, B = isqrt(n), the anchors are s_0 + b B h
-    for b < ceil(n/B) and the offsets r h for r < B, so that
-    s_{bB+r} = anchor_b + offset_r.  Any other s gives B = 1: the anchors
-    are s itself and the one offset is 0.
-    """
-    n = s.size
-    if n >= 4:
-        h = (s[-1] - s[0]) / (n - 1)
-        drift = np.abs(s - (s[0] + h * np.arange(n))).max()
-        if drift <= 4.0 * np.finfo(float).eps * np.abs(s).max():
-            block = math.isqrt(n)
-            return (s[0] + h * (block * np.arange(-(-n // block))),
-                    h * np.arange(block))
-    return s, np.zeros(1)
+# Requests reaching no further left than -_SHARED_REACH/kappa (decay lengths
+# of the source) share one build; the CLI Husimi grid reaches 7.5/kappa.
+_SHARED_REACH = 8.0
+# legvander(t, 16) @ _ANTIDERIVATIVE @ f integrates, over [-1, t], the
+# degree-15 interpolant of the values f at the 16 Gauss-Legendre nodes.
+_ANTIDERIVATIVE = np.polynomial.legendre.legint(
+    (np.arange(16) + 0.5)[:, None] * oscquad._GL_W
+    * np.polynomial.legendre.legvander(oscquad._GL_X, 15).T, lbnd=-1.0)
+_PARITY = (-1.0) ** np.arange(17)  # P_m(-t) = (-1)^m P_m(t): integrals over [t, 1]
 
 
 class PositionTransform:
-    """Numeric Fourier transform u -> xi of the exact SFA wavefunction.
+    """psi(xi) from the outgoing Green's function of the Airy equation.
 
-    psi(xi) = (1/sqrt(2 pi)) * integral du psi(u) e^{+i kappa u xi}
+    psi solves kappa^-2 psi'' + (xi - 1) psi ~ s(xi) = xi e^{-kappa |xi|}; with
+    z = kappa^{2/3} (1 - xi), K = (pi^2/2) c kappa^{4/3}, c = 4 x0/(kappa
+    sqrt(2 pi)) (Greengard & Rokhlin, CPAM 44 (1991) 419; DLMF 9.11(iv)),
 
-    The line splits into three parts, each a fixed rule, so that psi(xi) is
-    one sum  exp(i kappa xi nodes) @ base  over a single node set plus a
-    closed-form term:
+        psi = -K [i Ai(z) A + Bi(z) L(xi) + Ai(z) R(xi)],
+        L = int_{-inf}^{xi} Ai s,  R = int_{xi}^{inf} Bi s,  A = L(inf),
 
-    - the window [-U, U]: frequency-matched Gauss-Legendre panels for the
-      factored integrand e^{-i kappa (u^3/3 + (1-xi) u)} I(u); I(u) at all
-      nodes is one call of the cumulative rule oscquad.cubic_phase_integral
-      with every -node as a lower limit.  The window must hold the
-      stationary points +-sqrt(xi - 1) of every xi, U^2 + 1 >= xi_abs_max;
-    - |u| > U: there e^{-i kappa phi(u)} I(u) stops oscillating and tends to
-      theta(u) I(inf) e^{-i kappa phi(u)} + R(u) (see _window_remainder).
-      The I(inf) part of the right tail is a cubic-phase integral taken
-      on the rotated ray u = U + s e^{-i pi/6} (complex nodes, geometric
-      panels, cut where the integrand has decayed by e^-40 at the widest
-      xi).  The remainder R is integrated over the whole line in closed
-      form (_remainder_transform), and its part inside the window is taken
-      off the window weights.
+    and psi -> C [Ai - i Gi](z) beyond the exit, C = -i K A (asymptotic_c).
+    L sums forward and R backward (forward differences would cancel) over
+    16-point Gauss-Legendre panels of width min(0.5, 2/kappa, kappa^{-2/3})
+    with an edge at the kink xi = 0, on [lo, hi]: hi = 2/3 + 42/kappa, and
+    lo = m - 40/(kappa (1 + sqrt(1 - m))) left of the leftmost point served,
+    m = min(0, xi_min), where the L tail that Bi amplifies has fallen by
+    e^-40.  A panel's degree-16 Legendre antiderivative gives each partial
+    integral, so psi costs one Airy call per point.  Ai and Bi carry
+    e^{+-zeta} (specfun.ai_bi_scaled) and each sum is scaled at its panel
+    edge, so nothing overflows far left of the exit.
 
-    The truncation error is that of the first term R omits,
-    T3 = -20 (22u^4 - 19u^2 + 1)/(kappa^4 (u^2+1)^9), |T3| <= 440/(kappa^4
-    u^14) for |u| >= 1: at every |xi| <= xi_abs_max (|e^{i kappa u xi}| = 1)
-    psi is off by at most pref 880/(13 kappa^4 U^13).  achieved_change is
-    that bound over max|psi| on the probe linspace(-4, 4, 9), clipped to the
-    range.  Against U = 24 on 2,001 points over |xi| <= 6 and 40, kappa =
-    0.2 to 40, it is 1.20-1.32 times the error at U = 6 (the exact integral
-    of |T3|: 1.00-1.04 times).  The 20-radian panels add an error of their
-    own that can pass the bound at kappa <= 1 and wide ranges (1.2e-8 against
-    7.2e-9 at kappa = 1, xi_abs_max = 20; 3.5e-8 against 1.9e-8 at 0.5, 40).
-    Without R the truncation error would fall only like U^-4.
-
-    Cost of psi at n points over N nodes: when xi is an arithmetic
-    progression (any linspace), about 2 sqrt(n) N complex exponentials and
-    one n x N complex matrix product (_progression_split); any other xi
-    takes n N exponentials.  The split moves each evaluation point by about
-    4 eps max|xi - xi_abs_max|, the rounding already in the kernel phase.
-    Measured against the plain sum on 4,001-point grids, relative to
-    max|psi|: at most 4.7e-15 on the husimi scenario's grids at kappa = 2,
-    4.5 and 40, and 8.4e-15 on [-2, 9.9] with xi_abs_max = 10.
+    Error, relative to max|psi| on 401 points over |xi| <= 6 and 40, kappa =
+    1-40: within 3.5e-14 of panels a quarter as wide, and 0.79-0.84 times the
+    truncation bound of the u-space Fourier transform the tests compare with
+    (that transform's own error).  Pointwise it is 1.6e-13 just left of the kink
+    at kappa = 40, where a partial panel spans e^4 of variation.
     """
 
-    def __init__(self, params: ModelParams, u_max: float = 12.0,
-                 xi_abs_max: float = _XI_FLOOR):
+    def __init__(self, params: ModelParams, xi_min: float = 0.0):
+        if not -math.inf < xi_min < math.inf:
+            raise DomainError(f"xi_min must be finite, got {xi_min}")
         self.params = params
-        self.u_max = float(u_max)
-        self.xi_abs_max = float(xi_abs_max)
-        if not (0.0 < self.u_max < math.inf
-                and 0.0 <= self.xi_abs_max < math.inf):
-            raise DomainError(
-                f"need a finite window U > 0 and a finite xi_abs_max >= 0, "
-                f"got U = {self.u_max}, xi_abs_max = {self.xi_abs_max}")
-        if self.u_max ** 2 + 1.0 < self.xi_abs_max:
-            raise DomainError(
-                f"window U = {self.u_max} must contain the stationary points "
-                f"+-sqrt(xi - 1) of every |xi| <= {self.xi_abs_max}")
         k = params.kappa
-        w_max = 1.0 + self.xi_abs_max  # largest |1 - xi| in the window
-
-        # Frequency-matched panels: 16-node Gauss-Legendre per panel, panel
-        # width limited so the local phase advance stays within _PHASE_BUDGET
-        # radians (well inside the resolving power of 16 nodes), and to 1,
-        # the distance of the overlap poles +-i from the axis.
-        edges = [-self.u_max]
-        while edges[-1] < self.u_max:
-            freq = k * (edges[-1] ** 2 + w_max)
-            edges.append(min(self.u_max, edges[-1] + min(1.0, _PHASE_BUDGET / freq)))
-        window, weights = oscquad.gl_panels(np.asarray(edges))
-
-        # I at every node and the right tail from the last one, in one call:
-        # I(inf) = I(u_last) + integral_{-inf}^{-u_last}, and that piece is
-        # -conj of the right tail because the prefactor is odd and real.
-        i_all = ionization_integral(params, np.append(window, -window[-1]))
-        i_nodes, right_tail = i_all[:-1], i_all[-1]
-        self.i_infinity = i_nodes[-1] - np.conj(right_tail)
-
-        # Rotated ray: geometric panels from the boundary layer at s = 0
-        # (narrowest at xi = -xi_abs_max) until the integrand at
-        # xi = +xi_abs_max has decayed by _RAY_DECAY e-folds.
-        u2 = self.u_max ** 2 + 1.0
-
-        def decay(s):
-            return k * (s ** 3 / 3.0 + 0.5 * math.sqrt(3.0) * self.u_max * s * s
-                        + 0.5 * (u2 - self.xi_abs_max) * s)
-
-        ray_edges = [0.0, 2.0 / (k * (u2 + self.xi_abs_max))]
-        while decay(ray_edges[-1]) < _RAY_DECAY:
-            ray_edges.append(2.0 * ray_edges[-1])
-        s, s_weights = oscquad.gl_panels(np.asarray(ray_edges))
-        ray = self.u_max + _RAY * s
-
-        self._pref = (4.0 * params.x0 / k) / math.sqrt(2.0 * math.pi)
-        window_base = self._pref * weights * (
-            i_nodes * np.exp(-1j * k * (window ** 3 / 3.0 + window))
-            - _window_remainder(k, window))
-        ray_base = (self._pref * self.i_infinity * _RAY) * s_weights \
-            * np.exp(-1j * k * (ray ** 3 / 3.0 + ray))
-        self.nodes = np.concatenate([window, ray])
-        # Kernels are taken relative to xi = xi_abs_max, where the ray decays
-        # slowest: |exp(i k (xi - xi_abs_max) u)| <= 1 on the ray, and the
-        # stored weights are the bounded integrand at xi_abs_max.
-        self._base = np.concatenate([window_base, ray_base]) \
-            * np.exp(1j * k * self.xi_abs_max * self.nodes)
-
-        reach = min(self.xi_abs_max, 4.0)
-        scale = np.abs(self.psi(np.linspace(-reach, reach, 9))).max()
-        self.achieved_change = float(
-            self._pref * 880.0 / (13.0 * k ** 4 * self.u_max ** 13) / scale)
+        m = min(0.0, float(xi_min))
+        self.lo = m - 40.0 / (k * (1.0 + math.sqrt(1.0 - m)))
+        self.hi = 2.0 / 3.0 + 42.0 / k
+        self.panel_width = width = min(0.5, 2.0 / k, k ** (-2.0 / 3.0))
+        self.edges = np.concatenate([
+            np.linspace(self.lo, 0.0, math.ceil(-self.lo / width) + 1),
+            np.linspace(0.0, self.hi, math.ceil(self.hi / width) + 1)[1:]])
+        self.nodes = oscquad.gl_panels(self.edges)[0]
+        ai, bi, zeta = specfun.ai_bi_scaled(k ** (2.0 / 3.0) * (1.0 - self.nodes))
+        self._edge_zeta = (2.0 / 3.0) * np.maximum(
+            k ** (2.0 / 3.0) * (1.0 - self.edges), 0.0) ** 1.5
+        # Ai s and Bi s scaled by e^{+-zeta} at each panel's right edge; zeta
+        # falls to the right, so the factors are bounded by the panel's span.
+        shift = np.exp(zeta.reshape(-1, 16) - self._edge_zeta[1:, None])
+        s = self.nodes * np.exp(-k * np.abs(self.nodes))
+        half = 0.5 * np.diff(self.edges)[:, None]
+        self._l_partial = half * ((ai * s).reshape(-1, 16) / shift) @ _ANTIDERIVATIVE.T
+        self._r_partial = half * ((bi * s).reshape(-1, 16) * shift)[:, ::-1] \
+            @ _ANTIDERIVATIVE.T
+        # L at each panel's left edge and R at its right edge, each scaled at
+        # the right edge; a panel's integral is its antiderivative at t = 1.
+        steps = np.exp(np.diff(self._edge_zeta)).tolist()
+        l_panels = self._l_partial.sum(axis=1).tolist()
+        r_panels = self._r_partial.sum(axis=1).tolist()
+        left, right = [0.0], [0.0]
+        for l_step, l_panel, r_step, r_panel in zip(
+                steps[1:], l_panels, steps[:0:-1], r_panels[:0:-1]):
+            left.append(l_step * (left[-1] + l_panel))
+            right.append(r_step * (right[-1] + r_panel))
+        self._l_edges, self._r_edges = np.array(left), np.array(right[::-1])
+        self.amplitude = (left[-1] + l_panels[-1]) * math.exp(-self._edge_zeta[-1])
+        self._k = math.sqrt(2.0) * math.pi ** 1.5 * params.x0 * k ** (1.0 / 3.0)  # K
+        self.asymptotic_c = -1j * self._k * self.amplitude
 
     def psi(self, xi):
-        """Evaluate psi(xi) for scalar or array xi inside the window."""
+        """Evaluate psi(xi) for scalar or array xi >= lo."""
         xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        if not np.all(np.abs(xi_arr) <= self.xi_abs_max):
-            raise DomainError(
-                f"xi must be finite and inside |xi| <= {self.xi_abs_max}")
-        k = self.params.kappa
         flat = xi_arr.ravel()
-        out = (self._pref * _remainder_transform(k, flat)).astype(complex)
-        # exp(i k s_j u) = exp(i k anchor_b u) exp(i k offset_r u), so psi is
-        # one product of anchor rows with offset rows (_progression_split).
-        # s = xi - xi_abs_max <= 0, and walking it downwards keeps both
-        # factors of modulus <= 1 on the ray.
-        s = flat - self.xi_abs_max
-        order = slice(None, None, -1) if s.size > 1 and s[-1] > s[0] \
-            else slice(None)
-        anchors, offsets = _progression_split(s[order])
-        block = offsets.size
-        offset_rows = np.exp(1j * k * np.outer(offsets, self.nodes)) * self._base
-        total = np.empty(anchors.size * block, dtype=complex)
-        rows = max(1, _PSI_BLOCK // self.nodes.size)
-        for lo in range(0, anchors.size, rows):
-            anchor_rows = np.exp(1j * k * np.outer(anchors[lo:lo + rows], self.nodes))
-            total[lo * block:(lo + rows) * block] = \
-                (anchor_rows @ offset_rows.T).ravel()
-        out += total[:flat.size][order]
-        out = out.reshape(xi_arr.shape)
+        if not np.all((flat >= self.lo) & (flat < math.inf)):
+            raise DomainError(f"xi must be finite and at least {self.lo:.6g}, "
+                              f"the left end of this build's support")
+        edges = self.edges
+        j = np.clip(np.searchsorted(edges, flat, side="right") - 1, 0, edges.size - 2)
+        t = np.clip((2.0 * flat - edges[j] - edges[j + 1])
+                    / (edges[j + 1] - edges[j]), -1.0, 1.0)
+        basis = np.polynomial.legendre.legvander(t, 16)
+        ai, bi, zeta = specfun.ai_bi_scaled(
+            self.params.kappa ** (2.0 / 3.0) * (1.0 - flat))
+        shift = zeta - self._edge_zeta[j + 1]
+        left = np.exp(shift) * (self._l_edges[j] + np.einsum(
+            "ij,ij->i", basis, self._l_partial[j]))
+        right = np.exp(-shift) * (self._r_edges[j] + np.einsum(
+            "ij,ij->i", basis * _PARITY, self._r_partial[j]))
+        out = -self._k * (1j * self.amplitude * ai * np.exp(-zeta) + bi * left
+                          + ai * right).reshape(xi_arr.shape)
         return complex(out[0]) if np.isscalar(xi) else out
 
     def summary(self) -> dict:
-        """Window, |xi| range, nodes and truncation bound, for a sidecar."""
-        return {"u_max": self.u_max, "xi_abs_max": self.xi_abs_max,
-                "nodes": int(self.nodes.size),
-                "achieved_change": self.achieved_change}
+        """The source rule, for a sidecar: nodes, panels and support [lo, hi]."""
+        return {"nodes": int(self.nodes.size), "panels": int(self.edges.size - 1),
+                "support": [self.lo, self.hi]}
 
 
 @lru_cache(maxsize=8)
-def _converged_transform(params: ModelParams,
-                         xi_abs_max: float) -> PositionTransform:
-    """Narrowest window U = 6, 12, 24, ... whose truncation bound
-    achieved_change = 880 pref/(13 kappa^4 U^13)/max|psi| is below
-    _WINDOW_REL_TOL; it is 1.2-1.3 times the measured error (see
-    PositionTransform).  A window is built only when the one before failed.
-    The first window also contains the stationary points +-sqrt(xi - 1) of
-    every xi in range, so U starts above 6 when xi_abs_max > 31.25.
-    """
-    u_max = max(6.0, math.sqrt(max(0.0, xi_abs_max - 1.0)) + 0.5)
-    for _ in range(5):
-        transform = PositionTransform(params, u_max=u_max, xi_abs_max=xi_abs_max)
-        if transform.achieved_change < _WINDOW_REL_TOL:
-            return transform
-        u_max *= 2.0
-    raise NonConvergenceError(f"position transform window failed to converge "
-                              f"(last bound {transform.achieved_change:.3g})")
+def _converged_transform(params: ModelParams, xi_min: float) -> PositionTransform:
+    """The cached build for xi >= xi_min (perfbench clears and times it)."""
+    return PositionTransform(params, xi_min)
 
 
 def _transform_for(params: ModelParams, xi) -> PositionTransform:
-    """The certified transform that evaluates psi at every given xi.
-
-    Its |xi| range is max(_XI_FLOOR, max|xi|): every request inside the
-    floor shares one cached build, and a wider one gets a build of its own.
-    """
-    xi_abs_max = float(np.abs(xi).max(initial=_XI_FLOOR))
-    if not math.isfinite(xi_abs_max):
-        raise DomainError(f"xi must be finite, got max|xi| = {xi_abs_max}")
-    return _converged_transform(params, xi_abs_max)
+    """The cached build for every given xi: one per model for requests
+    reaching no further left than -_SHARED_REACH/kappa, else its own."""
+    xi = np.asarray(xi, dtype=float)
+    if not np.all(np.isfinite(xi)):
+        raise DomainError("xi must be finite")
+    return _converged_transform(params, min(-_SHARED_REACH / params.kappa,
+                                            float(xi.min(initial=0.0))))
 
 
 def psi_position(params: ModelParams, xi):
-    """psi(xi) from the converged numeric transform (see _transform_for)."""
+    """psi(xi) from the Green's-function build (see _transform_for)."""
     return _transform_for(params, xi).psi(xi)

@@ -1,9 +1,9 @@
 """Complex-argument Airy functions and the real Scorer function Gi.
 
 Production evaluation delegates to the AMOS implementation behind
-scipy.special.airy, which is uniformly accurate in all Stokes sectors.
-scipy.special is imported on the first Airy evaluation (`airy`, `ai_real`
-or `scorer_gi` past its input checks), not with this module, so a process
+scipy.special.airy and airye, uniformly accurate in all Stokes sectors.
+scipy.special is imported on the first Airy evaluation (`airy`, `ai_real`,
+`ai_bi_scaled` or `scorer_gi` past its checks), not with this module, so a process
 that never evaluates Airy never loads scipy.
 The Maclaurin series (_airy_series) is kept as an in-house check of the
 backend for small |z|.  The tests take 30-digit mpmath.airyai/airybi as the
@@ -47,11 +47,12 @@ _SQRT3 = math.sqrt(3.0)
 _OMEGA = cmath.exp(2j * math.pi / 3.0)
 
 
-def _scipy_airy(z):
-    """scipy.special.airy(z); scipy.special is imported on the first call."""
+def _scipy_airy(z, scaled=False):
+    """scipy.special.airy(z), or airye(z) when scaled; scipy.special is
+    imported on the first call."""
     import scipy.special
 
-    return scipy.special.airy(z)
+    return (scipy.special.airye if scaled else scipy.special.airy)(z)
 
 
 @dataclass(frozen=True)
@@ -154,3 +155,19 @@ def ai_real(x: np.ndarray | float) -> np.ndarray | float:
         raise DomainError(f"x must be finite and inside |x| <= {AIRY_MAX_ABS:g}")
     ai = _scipy_airy(arr)[0]
     return float(ai) if np.isscalar(x) else ai
+
+
+def ai_bi_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ai(x) e^zeta, Bi(x) e^-zeta and zeta = (2/3) max(x, 0)^{3/2} over real
+    x, |x| <= 1e4, as 1D arrays: finite where Ai underflows and Bi overflows."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.abs(arr) <= AIRY_MAX_ABS):
+        raise DomainError(f"x must be finite and inside |x| <= {AIRY_MAX_ABS:g}")
+    zeta = (2.0 / 3.0) * np.maximum(arr, 0.0) ** 1.5
+    far = arr > 50.0  # airye there: Bi(50) ~ e^236, and Bi overflows past 104
+    ai, _, bi, _ = _scipy_airy(np.where(far, 0.0, arr))
+    scale = np.exp(np.where(far, 0.0, zeta))
+    ai, bi = ai * scale, bi / scale
+    if far.any():
+        ai[far], _, bi[far], _ = _scipy_airy(arr[far], scaled=True)
+    return ai, bi, zeta

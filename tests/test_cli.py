@@ -202,14 +202,14 @@ def scipy_modules():
                   if m == "scipy" or m.startswith("scipy."))
 
 assert not scipy_modules(), ("import", scipy_modules())
-for argv in (["params"], ["wavefunction", "--n-x", "17"],
-             ["husimi", "--n-x", "7", "--n-p", "15"],
-             ["attoclock", "--n-u", "16"], ["scattering_demo"],
+for argv in (["params"], ["attoclock", "--n-u", "16"], ["scattering_demo"],
              ["ppt_spectrum", "--gamma", "0.75", "--n-p", "20",
               "--n-theta", "61"]):
     assert cli.main(argv) == 0, argv
     assert not scipy_modules(), (argv, scipy_modules())
-for argv in (["larmor", "--n-x", "25"], ["variational"], ["validate"]):
+for argv in (["wavefunction", "--n-x", "17"],
+             ["husimi", "--n-x", "7", "--n-p", "15"],
+             ["larmor", "--n-x", "25"], ["variational"], ["validate"]):
     assert cli.main(argv) == 0, argv
 print("ok")
 """
@@ -233,16 +233,27 @@ def test_opaque_square_barrier_is_config_error(tmp_path, half_width):
 
 @pytest.mark.parametrize("scenario", ["wavefunction", "husimi", "larmor"])
 def test_transform_sidecar_records_certified_window(tmp_path, scenario):
+    """The sidecar records the Green's-function source rule psi came from:
+    its nodes, panels and support [lo, hi], the window of the source
+    integrals; every scenario at one kappa reads the same build."""
     out = tmp_path / "t.csv"
     assert run_cli([scenario, "--kappa", "3", "--n-x", "17",
                     "--out", str(out)]) == 0
     side = json.loads((tmp_path / "t.json").read_text())
     assert "tolerances" not in side
     transform = side["transform"]
-    assert set(transform) == {"u_max", "xi_abs_max", "nodes", "achieved_change"}
-    assert transform["nodes"] > 0 and transform["u_max"] >= 6.0
-    assert transform["xi_abs_max"] == 6.0
-    assert 0.0 <= transform["achieved_change"] < sfa._WINDOW_REL_TOL == 1e-7
+    params = cli.params_from_kappa(cli.HELIUM_IP, 3.0)
+    assert transform == sfa._transform_for(params, [0.0]).summary()
+    assert transform["nodes"] == 16 * transform["panels"] > 0
+    lo, hi = transform["support"]
+    assert lo < -8.0 / 3.0 and hi == 2.0 / 3.0 + 14.0
+
+
+def test_wavefunction_past_the_airy_domain_exits_2(tmp_path):
+    """At x = 1e5 x0 the Airy argument passes |z| <= 1e4."""
+    out = tmp_path / "w.csv"
+    assert run_cli(["wavefunction", "--x-max", "1e5", "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_larmor_and_husimi_share_one_transform(tmp_path):

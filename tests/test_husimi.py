@@ -146,3 +146,24 @@ def test_grid_matches_point_where_windows_hold_subnormals():
     for i, j in zip(rng.integers(0, 13, 12), rng.integers(0, 11, 12)):
         point = husimi.husimi_point(grid, x_grid[i], p_grid[j], width)
         assert hg.magnitude[i, j] == pytest.approx(point, rel=1e-12)
+
+
+def test_progression_split_takes_every_linspace_grid_of_the_library():
+    """The uniform grids husimi_grid sees split into isqrt(n) offsets, to
+    within 8 eps of the grid; a scattered grid keeps B = 1, the plain sum."""
+    eps = np.finfo(float).eps
+    grids = []
+    for kappa in (2.0, 4.5, 40.0):
+        p = params_from_kappa(HELIUM_IP, kappa)
+        pad = 6.5 / math.sqrt(p.kappa_tilde) / p.x0
+        grids.append(np.linspace(-pad, 3.0 + pad, 4001) * p.x0)  # CLI psi grid
+    grids.append(np.linspace(-0.5, 2.5, 97))
+    for grid in grids:
+        for s in (grid, grid[::-1]):
+            anchors, offsets = husimi._progression_split(s)
+            assert offsets.size == math.isqrt(s.size) > 1
+            split = (anchors[:, None] + offsets).ravel()[:s.size]
+            assert np.max(np.abs(split - s)) <= 8.0 * eps * np.abs(s).max()
+    scattered = np.sort(np.random.default_rng(5).uniform(-0.5, 2.5, 97))
+    anchors, offsets = husimi._progression_split(scattered)
+    assert offsets.size == 1 and np.array_equal(anchors, scattered)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tunnelclock import DomainError, HELIUM_IP, params_from_kappa
-from tunnelclock import larmor, sfa
+from tunnelclock import larmor, oscquad, sfa
 
 import oracles
 
@@ -24,7 +24,7 @@ def test_final_state_is_real_airy():
 
 def test_scaling_factor_against_oscillation_average():
     """Closed-form sigma vs a direct large-position oscillation average."""
-    sigma = larmor.scaling_factor(PARAMS, sfa._saddle_prefactor(PARAMS))
+    sigma = larmor.scaling_factor(PARAMS, oracles.saddle_prefactor(PARAMS))
     limit = oracles.scaling_factor_limit(PARAMS)
     assert abs(sigma - limit) / abs(sigma) <= 0.05
 
@@ -63,3 +63,32 @@ def test_trace_validation():
     with pytest.raises(DomainError):
         larmor.TimeTrace(positions=np.array([0.5, 1.0]),
                          times=np.array([0j, 1j]))
+
+
+def _trace_on_half_width_panels(params, positions):
+    """The trace's overlap on panels half as wide as larmor's, gap by gap."""
+    transform = sfa._transform_for(params, [0.0])
+    xi = positions / params.x0
+    stops = np.append(xi[xi < 1.0], 1.0)
+    overlap = [0j]
+    for a, b in zip(stops[:-1], stops[1:]):
+        panels = 2 * math.ceil((b - a) / transform.panel_width)
+        nodes, weights = oscquad.gl_panels(np.linspace(a, b, panels + 1))
+        overlap.append(overlap[-1] + np.sum(
+            weights * larmor.final_state(params, nodes) * transform.psi(nodes)))
+    sigma = larmor.scaling_factor(params, transform.asymptotic_c)
+    overlap = np.array(overlap)[np.minimum(np.arange(xi.size), stops.size - 1)]
+    return sigma * params.x0 * overlap
+
+
+@pytest.mark.parametrize("kappa", [1.5, 3.0, 10.0, 40.0])
+def test_trace_matches_half_width_panels_and_is_flat_from_the_exit(kappa):
+    """No grid and no interpolation: at the CLI's n_x = 121 the trace is
+    within 1e-10 of max|tau| of the same overlap on half-width panels, and
+    every position from x0 on holds the very same value."""
+    p = params_from_kappa(HELIUM_IP, kappa)
+    trace = larmor.larmor_time_trace(p, 3.0 * p.x0, n=121)
+    ref = _trace_on_half_width_panels(p, trace.positions)
+    assert np.max(np.abs(trace.times - ref)) <= 1e-10 * np.max(np.abs(ref))
+    beyond = trace.times[trace.positions >= p.x0]
+    assert beyond.size == 81 and np.all(beyond == trace.times[-1])

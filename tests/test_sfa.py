@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from tunnelclock import DomainError, HELIUM_IP, params_from_kappa
-from tunnelclock import sfa, specfun
+from tunnelclock import attoclock, sfa, specfun
 
 import oracles
 
@@ -99,7 +99,7 @@ def test_position_saddle_matches_airy_scorer_combination():
     ref = (1j * math.sqrt(2.0) * math.pi * PARAMS.x0 * k ** (-5.0 / 6.0)
            * math.exp(-2.0 * k / 3.0)
            * (specfun.airy(arg).ai.real - 1j * specfun.scorer_gi(arg)))
-    got = sfa.psi_position_saddle(PARAMS, xi)
+    got = oracles.psi_position_saddle(PARAMS, xi)
     assert abs(complex(got) - ref) <= 1e-12 * abs(ref)
 
 
@@ -111,7 +111,7 @@ def test_position_transform_close_to_saddle_asymptote():
     """
     xi = np.linspace(3.0, 5.0, 201)
     got = np.abs(sfa.psi_position(PARAMS, xi))
-    saddle = np.abs(np.atleast_1d(sfa.psi_position_saddle(PARAMS, xi)))
+    saddle = np.abs(np.atleast_1d(oracles.psi_position_saddle(PARAMS, xi)))
     # pointwise ratios are distorted near the Airy zeros; compare RMS.
     # The expected ratio is the exact-vs-saddle prefactor ratio ~0.97.
     rms_ratio = math.sqrt(float(np.mean(got ** 2) / np.mean(saddle ** 2)))
@@ -150,76 +150,107 @@ def test_bound_overlap_odd_and_decaying():
 
 @pytest.mark.parametrize("kappa", [2.6, 4.0, 8.0])
 def test_i_infinity_imaginary_and_window_independent(kappa):
-    """I(inf) = -i * integral g sin(kappa phi) is imaginary and U-free."""
+    """I(inf) = -i * integral g sin(kappa phi) is imaginary and U-free: the
+    u-space oracle's value from its U = 6 window gives the window-free
+    Green's constant C = -i K A = c I(inf) pi kappa^{-1/3} to 1e-13."""
     p = params_from_kappa(HELIUM_IP, kappa)
-    narrow = sfa.PositionTransform(p, u_max=6.0).i_infinity
-    wide = sfa.PositionTransform(p, u_max=48.0).i_infinity
-    for value in (narrow, wide):
-        assert abs(value.real) <= 1e-14 * abs(value)
-    assert abs(narrow - wide) <= 1e-9 * abs(wide)
+    oracle = oracles.UWindowTransform(p, u_max=6.0)
+    assert abs(oracle.i_infinity.real) <= 1e-14 * abs(oracle.i_infinity)
+    want = oracle._pref * oracle.i_infinity * math.pi * kappa ** (-1.0 / 3.0)
+    got = sfa.PositionTransform(p).asymptotic_c
+    assert got.real == 0.0
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("kappa", [2.0, 3.0, 5.0])
+def test_green_amplitude_gives_the_parity_split_denominator(kappa):
+    """D(inf) = I(inf) = -i (pi/2) kappa^{5/3} A, against the oscillatory
+    quadrature of attoclock.asymptotic_parity_split."""
+    p = params_from_kappa(HELIUM_IP, kappa)
+    want = attoclock.asymptotic_parity_split(p)[1]
+    got = -0.5j * math.pi * kappa ** (5.0 / 3.0) \
+        * sfa.PositionTransform(p).amplitude
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("kappa", [3.0, 5.0, 10.0])
-def test_window_12_agrees_with_window_48(kappa):
+def test_psi_agrees_with_the_window_12_oracle(kappa):
+    """At U = 12 the oracle's truncation bound is 2^13 below U = 6, and what
+    is left is its own panel error: within 1e-11 of max|psi| (2.4e-12 at
+    kappa = 3), four orders below 1e-7."""
     p = params_from_kappa(HELIUM_IP, kappa)
     probe = np.linspace(-4.0, 4.0, 9)
-    narrow = sfa.PositionTransform(p, u_max=12.0).psi(probe)
-    wide = sfa.PositionTransform(p, u_max=48.0).psi(probe)
-    assert np.max(np.abs(narrow - wide)) <= 1e-7 * np.max(np.abs(wide))
+    want = oracles.UWindowTransform(p, u_max=12.0).psi(probe)
+    got = sfa.psi_position(p, probe)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
-def _probe_scale(transform):
-    """max|psi| on the 9-point probe the truncation bound is relative to."""
-    reach = min(transform.xi_abs_max, 4.0)
-    return np.abs(transform.psi(np.linspace(-reach, reach, 9))).max()
+@pytest.mark.parametrize("kappa", [2.0, 10.0, 40.0])
+def test_green_amplitude_matches_30_digit_mpmath(kappa):
+    """A = int Ai s over the line, by 30-digit mp.quad; at kappa = 40 also
+    psi at three points, one just left of the source kink, to 1e-13 of
+    max|psi| (7.8e-14 there, where a partial panel interpolates a factor
+    e^4 of variation)."""
+    mpmath = pytest.importorskip("mpmath")
+    p = params_from_kappa(HELIUM_IP, kappa)
+    stops = [-0.5 / kappa, 0.5, 1.5] if kappa == 40.0 else []
+    with mpmath.workdps(30):
+        amplitude, psi = oracles.psi_green_by_mpmath(mpmath, p, stops)
+    transform = sfa._transform_for(p, stops)
+    assert abs(transform.amplitude - float(amplitude)) <= 1e-13 * float(amplitude)
+    if stops:
+        scale = np.abs(sfa.psi_position(p, np.linspace(-1.0, 3.0, 401))).max()
+        assert np.max(np.abs(transform.psi(stops) - psi)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("kappa", [2.6, 10.0])
 def test_certified_transform_records_its_truncation_bound(kappa):
-    """The returned window is small, and it records the closed-form bound
-    880 pref / (13 kappa^4 U^13) of its own truncation, relative to the
-    probe's max|psi|."""
+    """The build records where it truncates the source integrals: the
+    support [lo, hi] with hi = 2/3 + 42/kappa and lo where the L tail has
+    fallen by e^-40 left of the leftmost point it serves, on 16-node panels
+    with an edge at the kink xi = 0."""
     p = params_from_kappa(HELIUM_IP, kappa)
-    transform = sfa._converged_transform(p, 6.0)
-    assert transform.u_max == 6.0
-    assert len(transform.nodes) <= 20_000
-    bound = transform._pref * 880.0 / (13.0 * kappa ** 4 * 6.0 ** 13)
-    assert transform.achieved_change == pytest.approx(
-        bound / _probe_scale(transform), rel=1e-12)
-    assert transform.achieved_change < sfa._WINDOW_REL_TOL == 1e-7
+    transform = sfa._converged_transform(p, -1.0)
+    lo = -1.0 - 40.0 / (kappa * (1.0 + math.sqrt(2.0)))
+    assert transform.lo == pytest.approx(lo, rel=1e-15)
+    assert transform.hi == pytest.approx(2.0 / 3.0 + 42.0 / kappa, rel=1e-15)
+    assert 0.0 in transform.edges
+    assert np.all(np.diff(transform.edges) <= transform.panel_width * (1 + 1e-12))
+    assert len(transform.nodes) == 16 * (transform.edges.size - 1) <= 2_000
     assert transform.summary() == {
-        "u_max": transform.u_max, "xi_abs_max": 6.0,
-        "nodes": len(transform.nodes),
-        "achieved_change": transform.achieved_change}
+        "nodes": len(transform.nodes), "panels": transform.edges.size - 1,
+        "support": [transform.lo, transform.hi]}
 
 
 @pytest.mark.parametrize("xi_abs_max", [6.0, 40.0])
 @pytest.mark.parametrize("kappa", [1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 40.0])
 def test_truncation_bound_covers_the_whole_xi_range(kappa, xi_abs_max):
-    """On 401 points over all of |xi| <= xi_abs_max (the probe covers only
-    |xi| <= 4), the certified window is within 1e-7 of max|psi| of a U = 24
-    build, and within its recorded bound.  U = 24 has a truncation bound
-    4^13 ~ 7e7 times below that of U = 6, so its own error is negligible;
-    U = 48 would cost 8x the nodes (2.4M at kappa = 40)."""
+    """On 401 points over all of |xi| <= xi_abs_max, psi is within the
+    u-space oracle's own truncation bound 880 c/(13 kappa^4 U^13) of it,
+    at the narrowest window U >= 6 holding the stationary points
+    (0.79-0.84 times the bound: that is the oracle's error), and within
+    1e-7 of max|psi|."""
     p = params_from_kappa(HELIUM_IP, kappa)
-    transform = sfa._converged_transform(p, xi_abs_max)
-    ref = sfa.PositionTransform(p, u_max=24.0, xi_abs_max=xi_abs_max)
+    u_max = max(6.0, math.sqrt(xi_abs_max - 1.0) + 0.5)
+    oracle = oracles.UWindowTransform(p, u_max=u_max, xi_abs_max=xi_abs_max)
     xi = np.linspace(-xi_abs_max, xi_abs_max, 401)
-    got, want = (np.concatenate([t.psi(xi[i:i + 100])
-                                 for i in range(0, xi.size, 100)])
-                 for t in (transform, ref))
-    diff = np.abs(got - want).max()
+    want = np.concatenate([oracle.psi(xi[i:i + 100])
+                           for i in range(0, xi.size, 100)])
+    diff = np.abs(sfa.psi_position(p, xi) - want).max()
     assert diff <= 1e-7 * np.abs(want).max()
-    assert diff <= transform.achieved_change * _probe_scale(transform)
+    assert diff <= oracle.truncation_bound
 
 
 def test_first_window_over_its_bound_is_widened():
-    """At kappa = 0.3 the U = 6 bound (6e-7) fails and U = 12 is returned."""
+    """At kappa = 0.3 the oracle's U = 6 bound (6e-7 of max|psi|) fails the
+    1e-7 level, and psi is within the bound of the widened U = 12 window."""
     p = params_from_kappa(HELIUM_IP, 0.3)
-    assert sfa.PositionTransform(p, u_max=6.0).achieved_change > 1e-7
-    transform = sfa._converged_transform(p, 6.0)
-    assert transform.u_max == 12.0
-    assert transform.achieved_change < sfa._WINDOW_REL_TOL
+    assert oracles.UWindowTransform(p, u_max=6.0).achieved_change > 1e-7
+    oracle = oracles.UWindowTransform(p, u_max=12.0)
+    assert oracle.achieved_change < 1e-7
+    xi = np.linspace(-6.0, 6.0, 401)
+    assert np.abs(sfa.psi_position(p, xi) - oracle.psi(xi)).max() \
+        <= oracle.truncation_bound
 
 
 def test_one_transform_build_per_cache_miss(monkeypatch):
@@ -227,7 +258,7 @@ def test_one_transform_build_per_cache_miss(monkeypatch):
 
     class Counted(sfa.PositionTransform):
         def __init__(self, *args, **kwargs):
-            builds.append(kwargs.get("u_max"))
+            builds.append(args[1])
             super().__init__(*args, **kwargs)
 
     sfa._converged_transform.cache_clear()
@@ -235,20 +266,21 @@ def test_one_transform_build_per_cache_miss(monkeypatch):
     try:
         sfa.psi_position(PARAMS, np.linspace(0.0, 3.0, 7))
         sfa.psi_position(PARAMS, 1.5)
+        sfa.psi_position(PARAMS, [-2.5, 40.0])
     finally:
         sfa._converged_transform.cache_clear()
-    assert builds == [6.0]
+    assert builds == [-8.0 / PARAMS.kappa]
 
 
 def test_psi_scattered_equals_uniform_grid_values():
-    """Scattered xi (one row per point) and uniform xi (anchor times offset
-    rows) give the same psi, on ascending and descending grids."""
-    wide = np.linspace(-2.0, 9.9, 4001)
-    for params, xi_abs_max, xi_uniform in [
-            (PARAMS, 6.0, np.linspace(-0.5, 2.5, 97)),
-            (params_from_kappa(HELIUM_IP, 40.0), 10.0, wide),
-            (params_from_kappa(HELIUM_IP, 40.0), 10.0, wide[::-1])]:
-        transform = sfa._converged_transform(params, xi_abs_max)
+    """Scattered and uniform xi, ascending or descending, give the same
+    psi at the same points: each point is evaluated on its own."""
+    wide = np.linspace(-0.15, 9.9, 4001)
+    for params, xi_uniform in [
+            (PARAMS, np.linspace(-0.5, 2.5, 97)),
+            (params_from_kappa(HELIUM_IP, 40.0), wide),
+            (params_from_kappa(HELIUM_IP, 40.0), wide[::-1])]:
+        transform = sfa._transform_for(params, xi_uniform)
         pick = np.sort(np.random.default_rng(5).choice(
             xi_uniform.size, 23, replace=False))
         dense = transform.psi(xi_uniform)
@@ -258,79 +290,79 @@ def test_psi_scattered_equals_uniform_grid_values():
         assert abs(transform.psi(xi_uniform[7]) - dense[7]) <= 1e-13 * scale
 
 
-def test_progression_split_takes_every_linspace_grid_of_the_library():
-    """The uniform grids psi and husimi_grid see split into isqrt(n) offsets;
-    a scattered grid keeps B = 1, the plain sum."""
-    eps = np.finfo(float).eps
-    p = params_from_kappa(HELIUM_IP, 4.5)
-    pad = 6.5 / math.sqrt(p.kappa_tilde) / p.x0
-    husimi_xi = np.linspace(-pad, 3.0 + pad, 4001)
-    grids = [np.linspace(0.0, 3.0, 121) - 6.0,  # wavefunction, as psi sees it
-             np.linspace(0.0, 1.0, 513) - 6.0,  # larmor
-             husimi_xi - max(6.0, np.abs(husimi_xi).max()),  # husimi psi
-             husimi_xi * p.x0,  # husimi_grid positions
-             np.linspace(-4.0, 4.0, 9) - 6.0]  # _converged_transform probe
-    for grid in grids:
-        for s in (grid, grid[::-1]):
-            anchors, offsets = sfa._progression_split(s)
-            assert offsets.size == math.isqrt(s.size) > 1
-            split = (anchors[:, None] + offsets).ravel()[:s.size]
-            assert np.max(np.abs(split - s)) <= 8.0 * eps * np.abs(s).max()
-    scattered = np.sort(np.random.default_rng(5).uniform(-0.5, 2.5, 97))
-    anchors, offsets = sfa._progression_split(scattered)
-    assert offsets.size == 1 and np.array_equal(anchors, scattered)
-
-
 @pytest.mark.parametrize("u_max, xi_abs_max", [
     (math.inf, 6.0), (math.nan, 6.0), (-6.0, 6.0), (0.0, 6.0),
     (12.0, math.nan), (12.0, -math.inf), (12.0, -3.0)])
 def test_position_transform_rejects_bad_window(u_max, xi_abs_max):
-    """DomainError within 1 s: U = inf, or xi_abs_max = -3, used to add
-    panels forever, and U = NaN or -6 raised IndexError."""
+    """The u-space oracle refuses a bad window with DomainError within 1 s:
+    U = inf, or xi_abs_max = -3, used to add panels forever, and U = NaN or
+    -6 raised IndexError."""
     def timeout(signum, frame):
-        raise TimeoutError("PositionTransform did not return within 1 s")
+        raise TimeoutError("UWindowTransform did not return within 1 s")
 
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.setitimer(signal.ITIMER_REAL, 1.0)
     try:
         with pytest.raises(DomainError):
-            sfa.PositionTransform(PARAMS, u_max=u_max, xi_abs_max=xi_abs_max)
+            oracles.UWindowTransform(PARAMS, u_max=u_max, xi_abs_max=xi_abs_max)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_xi_is_a_domain_error_naming_xi(bad):
+    p = params_from_kappa(HELIUM_IP, 10.0)
+    for xi in (bad, np.array([0.0, bad])):
+        with pytest.raises(DomainError, match="xi"):
+            sfa.psi_position(p, xi)
+        with pytest.raises(DomainError, match="xi"):
+            sfa.PositionTransform(p).psi(xi)
+    with pytest.raises(DomainError, match="xi"):
+        sfa.PositionTransform(p, bad)
+
+
+def test_far_left_psi_is_finite_where_bi_overflows():
+    """At kappa = 60, xi = -6 (z = 107), Bi overflows a double: psi comes
+    from e^{+-zeta}-scaled Airy values, finite, with no overflow or invalid
+    operation, and a point left of a build's support is a DomainError."""
+    p = params_from_kappa(HELIUM_IP, 60.0)
+    xi = np.linspace(-6.0, 3.0, 91)
+    with np.errstate(over="raise", invalid="raise"):
+        got = sfa.psi_position(p, xi)
+    assert np.all(np.isfinite(got.real) & np.isfinite(got.imag))
+    assert np.abs(got[0]) <= 1e-100 * np.abs(got).max()
+    with pytest.raises(DomainError, match="xi"):
+        sfa.PositionTransform(p).psi(-6.0)
+
+
 def test_wide_xi_window_holds_stationary_points():
-    """For large |xi| the window grows to hold +-sqrt(xi - 1); no overflow."""
+    """The oracle's window must hold the stationary points +-sqrt(xi - 1)
+    of |xi| <= 100; psi over that whole range (z up to 470, far past Bi's
+    overflow) agrees with the oracle's widened window to 1e-7 of max|psi|,
+    with no overflow."""
     p = params_from_kappa(HELIUM_IP, 10.0)
     with pytest.raises(DomainError):
-        sfa.PositionTransform(p, u_max=6.0, xi_abs_max=100.0)
-    transform = sfa._converged_transform(p, 100.0)
-    assert transform.u_max ** 2 + 1.0 >= 100.0
-    for bad in (math.nan, 100.5):
-        with pytest.raises(DomainError):
-            transform.psi(bad)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError):
-            sfa.psi_position(p, bad)
-        with pytest.raises(DomainError):
-            sfa.psi_position(p, np.array([0.0, bad]))
+        oracles.UWindowTransform(p, u_max=6.0, xi_abs_max=100.0)
     xi = np.linspace(-100.0, 100.0, 41)
     with np.errstate(over="raise", invalid="raise"):
-        got = transform.psi(xi)
-    ref = sfa.PositionTransform(p, u_max=2.0 * transform.u_max,
-                                xi_abs_max=100.0).psi(xi)
+        got = sfa.psi_position(p, xi)
+    ref = oracles.UWindowTransform(p, u_max=2.0 * (math.sqrt(99.0) + 0.5),
+                                   xi_abs_max=100.0).psi(xi)
     assert np.max(np.abs(got - ref)) <= 1e-7 * np.max(np.abs(ref))
 
 
 def test_psi_position_picks_its_own_range():
-    """psi_position builds for max(6, max|xi|): |xi| up to 40 needs no range
-    argument, and agrees with the doubled window over the whole range."""
+    """psi_position builds for the leftmost point it is asked for: |xi| up
+    to 40 needs no range argument and agrees with the doubled oracle window
+    over the whole range, and a request inside the shared reach reuses the
+    model's one build."""
     xi = np.linspace(-40.0, 40.0, 161)
     got = sfa.psi_position(PARAMS, xi)
-    transform = sfa._transform_for(PARAMS, xi)
-    assert transform.xi_abs_max == 40.0
-    assert sfa._transform_for(PARAMS, [-2.0, 5.5]).xi_abs_max == 6.0
-    ref = sfa.PositionTransform(PARAMS, u_max=2.0 * transform.u_max,
-                                xi_abs_max=40.0).psi(xi)
+    assert sfa._transform_for(PARAMS, xi).lo < -40.0
+    shared = sfa._transform_for(PARAMS, [0.0, 1.0])
+    assert sfa._transform_for(PARAMS, [-2.0, 5.5]) is shared
+    assert sfa._transform_for(PARAMS, [-2.7, 5.5]) is not shared
+    ref = oracles.UWindowTransform(PARAMS, u_max=2.0 * (math.sqrt(39.0) + 0.5),
+                                   xi_abs_max=40.0).psi(xi)
     assert np.max(np.abs(got - ref)) <= 1e-7 * np.max(np.abs(ref))
