@@ -26,23 +26,31 @@ OVERLAP_POLES = (1j, -1j)
 
 @dataclass(frozen=True)
 class ComplexGrid1D:
-    """Complex wavefunction sampled at physical positions x (a.u.)."""
+    """Complex wavefunction sampled at physical positions x (a.u.), with the
+    quadrature weights of its samples (default: the trapezoid rule of x)."""
 
     coordinates: np.ndarray
     values: np.ndarray
+    weights: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.asarray(self.coordinates, dtype=float)
         v = np.asarray(self.values, dtype=complex)
-        if c.ndim != 1 or v.shape != c.shape:
-            raise DomainError("coordinates and values must be matching 1D arrays")
+        w = self.weights
+        if w is None and c.ndim == 1:  # the trapezoid rule
+            w = 0.5 * (np.diff(c, prepend=c[:1]) + np.diff(c, append=c[-1:]))
+        w = np.asarray(w, dtype=float)
+        if c.ndim != 1 or v.shape != c.shape or w.shape != c.shape:
+            raise DomainError("coordinates, values and weights must be "
+                              "matching 1D arrays")
         if not np.all(np.diff(c) > 0.0):
             raise DomainError("coordinates must be strictly increasing")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(v.real))
-                and np.all(np.isfinite(v.imag))):
+        if not (np.isfinite(c).all() and np.isfinite(v).all()
+                and np.isfinite(w).all()):
             raise DomainError("grid contains non-finite entries")
         object.__setattr__(self, "coordinates", c)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "weights", w)
 
 
 def _overlap_g(u):
@@ -69,7 +77,8 @@ def amplitude_A(params: ModelParams) -> float:
 
 
 # Requests reaching no further left than -_SHARED_REACH/kappa (decay lengths
-# of the source) share one build; the CLI Husimi grid reaches 7.5/kappa.
+# of the source) share one build; the CLI Husimi nodes reach 7.53/kappa at
+# helium Ip and the default width.
 _SHARED_REACH = 8.0
 # legvander(t, 16) @ _ANTIDERIVATIVE @ f integrates, over [-1, t], the
 # degree-15 interpolant of the values f at the 16 Gauss-Legendre nodes.

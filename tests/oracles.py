@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from tunnelclock import DomainError, husimi, larmor, oscquad, ppt, sfa, specfun
+from tunnelclock import DomainError, larmor, oscquad, ppt, sfa, specfun
 
 # Centre of the oscillation period that scaling_factor_limit averages over.
 _LIMIT_XI = 40.0
@@ -195,6 +195,26 @@ def _remainder_transform(kappa: float, xi: np.ndarray) -> np.ndarray:
     return -math.pi * np.exp(-b) * (np.sign(a) * odd + even)
 
 
+def _progression_split(s: np.ndarray):
+    """Anchors and offsets of the index split j = b B + r of a flat array.
+
+    When s is an arithmetic progression s_j = s_0 + j h, to within
+    4 eps max|s| in every element, B = isqrt(n), the anchors are s_0 + b B h
+    for b < ceil(n/B) and the offsets r h for r < B, so that
+    s_{bB+r} = anchor_b + offset_r.  Any other s gives B = 1: the anchors
+    are s itself and the one offset is 0.
+    """
+    n = s.size
+    if n >= 4:
+        h = (s[-1] - s[0]) / (n - 1)
+        drift = np.abs(s - (s[0] + h * np.arange(n))).max()
+        if drift <= 4.0 * np.finfo(float).eps * np.abs(s).max():
+            block = math.isqrt(n)
+            return (s[0] + h * (block * np.arange(-(-n // block))),
+                    h * np.arange(block))
+    return s, np.zeros(1)
+
+
 class UWindowTransform:
     """Numeric Fourier transform u -> xi of the exact SFA wavefunction: the
     momentum-window transform that sfa.PositionTransform replaced, kept as
@@ -234,7 +254,7 @@ class UWindowTransform:
 
     Cost of psi at n points over N nodes: when xi is an arithmetic
     progression (any linspace), about 2 sqrt(n) N complex exponentials and
-    one n x N complex matrix product (husimi._progression_split); any other xi
+    one n x N complex matrix product (_progression_split); any other xi
     takes n N exponentials.  The split moves each evaluation point by about
     4 eps max|xi - xi_abs_max|, the rounding already in the kernel phase.
     Measured against the plain sum on 4,001-point grids, relative to
@@ -319,13 +339,13 @@ class UWindowTransform:
         flat = xi_arr.ravel()
         out = (self._pref * _remainder_transform(k, flat)).astype(complex)
         # exp(i k s_j u) = exp(i k anchor_b u) exp(i k offset_r u), so psi is
-        # one product of anchor rows with offset rows (husimi._progression_split).
+        # one product of anchor rows with offset rows (_progression_split).
         # s = xi - xi_abs_max <= 0, and walking it downwards keeps both
         # factors of modulus <= 1 on the ray.
         s = flat - self.xi_abs_max
         order = slice(None, None, -1) if s.size > 1 and s[-1] > s[0] \
             else slice(None)
-        anchors, offsets = husimi._progression_split(s[order])
+        anchors, offsets = _progression_split(s[order])
         block = offsets.size
         offset_rows = np.exp(1j * k * np.outer(offsets, self.nodes)) * self._base
         total = np.empty(anchors.size * block, dtype=complex)

@@ -256,6 +256,19 @@ def test_wavefunction_past_the_airy_domain_exits_2(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags", [["--width", "1e-7"], ["--width", "1e-4"],
+                                   ["--p-max", "1e300"]])
+def test_unresolvable_husimi_window_exits_2_at_once(tmp_path, flags):
+    """A window narrower than the psi nodes the map matrices can hold exits 2
+    before any array is built, instead of writing a map whose rows are
+    exactly 0 between under-resolved samples."""
+    out = tmp_path / "h.csv"
+    t0 = time.perf_counter()
+    assert run_cli(["husimi", "--kappa", "3", *flags, "--out", str(out)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_larmor_and_husimi_share_one_transform(tmp_path):
     """At kappa 3 both scenarios read psi inside |xi| <= 6: one build."""
     sfa._converged_transform.cache_clear()

@@ -1,12 +1,13 @@
 """Phase-space maps: coherent-state overlaps and ridge extraction."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from tunnelclock import DomainError, HELIUM_IP, params_from_kappa
-from tunnelclock import husimi, sfa
+from tunnelclock import cli, husimi, oscquad, sfa
 
 
 PARAMS = params_from_kappa(HELIUM_IP, 2.0)
@@ -148,22 +149,39 @@ def test_grid_matches_point_where_windows_hold_subnormals():
         assert hg.magnitude[i, j] == pytest.approx(point, rel=1e-12)
 
 
-def test_progression_split_takes_every_linspace_grid_of_the_library():
-    """The uniform grids husimi_grid sees split into isqrt(n) offsets, to
-    within 8 eps of the grid; a scattered grid keeps B = 1, the plain sum."""
-    eps = np.finfo(float).eps
-    grids = []
-    for kappa in (2.0, 4.5, 40.0):
-        p = params_from_kappa(HELIUM_IP, kappa)
-        pad = 6.5 / math.sqrt(p.kappa_tilde) / p.x0
-        grids.append(np.linspace(-pad, 3.0 + pad, 4001) * p.x0)  # CLI psi grid
-    grids.append(np.linspace(-0.5, 2.5, 97))
-    for grid in grids:
-        for s in (grid, grid[::-1]):
-            anchors, offsets = husimi._progression_split(s)
-            assert offsets.size == math.isqrt(s.size) > 1
-            split = (anchors[:, None] + offsets).ravel()[:s.size]
-            assert np.max(np.abs(split - s)) <= 8.0 * eps * np.abs(s).max()
-    scattered = np.sort(np.random.default_rng(5).uniform(-0.5, 2.5, 97))
-    anchors, offsets = husimi._progression_split(scattered)
-    assert offsets.size == 1 and np.array_equal(anchors, scattered)
+@pytest.mark.parametrize("kappa, flags", [
+    (1.5, []), (3.0, []), (10.0, []), (40.0, []),
+    (3.0, ["--width", "0.1"]), (3.0, ["--width", "0.3", "--p-max", "12"]),
+    (3.0, ["--p-max", "20"])])
+def test_cli_map_matches_panels_a_quarter_as_wide(tmp_path, kappa, flags):
+    """The CLI integrates psi on Gauss-Legendre panels broken at the kink
+    x = 0, h = min(2 x0/kappa, 2 width, 12/(p_max + k_psi)) wide; panels a
+    quarter as wide move the map by less than 1e-13 of its max.  Panels
+    2 x0/kappa wide miss by 2.7e-4 at --width 0.1 and by 2.9e-9 at --p-max
+    20."""
+    out = tmp_path / "h.csv"
+    assert cli.main(["husimi", "--kappa", str(kappa), *flags,
+                     "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "h.json").read_text())
+    cfg, x0 = side["config"], side["model"]["x0"]
+    width, p_max = cfg["width"], cfg["p_max"]
+    lo, hi = -6.5 * width, cfg["x_max"] * x0 + 6.5 * width
+    k_psi = kappa * math.sqrt(max(hi / x0 - 1.0, 0.0)) / x0
+    scales = {"source": 2.0 * x0 / kappa, "width": 2.0 * width,
+              "wavenumber": 12.0 / (p_max + k_psi)}
+    h = min(scales.values())
+    assert side["diagnostics"] == {
+        "panel_width": h, "panel_width_set_by": min(scales, key=scales.get),
+        "psi_nodes": 16 * (math.ceil(-lo / h) + math.ceil(hi / h))}
+    edges = np.concatenate([
+        np.linspace(lo, 0.0, math.ceil(-lo / (h / 4)) + 1),
+        np.linspace(0.0, hi, math.ceil(hi / (h / 4)) + 1)[1:]])
+    x, weights = oscquad.gl_panels(edges)
+    params = params_from_kappa(HELIUM_IP, kappa)
+    fine = husimi.husimi_grid(
+        sfa.ComplexGrid1D(coordinates=x, weights=weights,
+                          values=sfa.psi_position(params, x / x0)),
+        np.linspace(0.0, cfg["x_max"] * x0, cfg["n_x"]),
+        np.linspace(0.0, p_max, cfg["n_p"]), width).magnitude.ravel()
+    magnitude = np.loadtxt(out, delimiter=",", skiprows=1)[:, 2]
+    assert np.max(np.abs(magnitude - fine)) <= 1e-13 * fine.max()

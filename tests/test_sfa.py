@@ -134,6 +134,18 @@ def test_complex_grid_validation():
     with pytest.raises(DomainError):
         sfa.ComplexGrid1D(coordinates=np.array([1.0, 0.0]),
                           values=np.array([0j, 1j]))
+    for weights in (np.ones(3), np.array([1.0, np.nan])):
+        with pytest.raises(DomainError):
+            sfa.ComplexGrid1D(coordinates=np.array([0.0, 1.0]),
+                              values=np.array([0j, 1j]), weights=weights)
+
+
+def test_complex_grid_weights_default_to_the_trapezoid_rule():
+    x = np.sort(np.random.default_rng(7).uniform(-1.0, 2.0, 40))
+    values = np.exp(1j * x) * (1.0 + x * x)
+    grid = sfa.ComplexGrid1D(coordinates=x, values=values)
+    assert np.sum(grid.weights * values) == pytest.approx(
+        np.trapezoid(values, x), rel=1e-14)
 
 
 def test_bound_overlap_odd_and_decaying():
@@ -288,6 +300,28 @@ def test_psi_scattered_equals_uniform_grid_values():
         scale = np.abs(dense).max()
         assert np.max(np.abs(sparse - dense[pick])) <= 1e-13 * scale
         assert abs(transform.psi(xi_uniform[7]) - dense[7]) <= 1e-13 * scale
+
+
+def test_progression_split_takes_every_linspace_grid_of_the_library():
+    """Uniform grids, such as those UWindowTransform.psi walks, split into
+    isqrt(n) offsets to within 8 eps of the grid; a scattered grid keeps
+    B = 1, the plain sum."""
+    eps = np.finfo(float).eps
+    grids = []
+    for kappa in (2.0, 4.5, 40.0):
+        p = params_from_kappa(HELIUM_IP, kappa)
+        pad = 6.5 / math.sqrt(p.kappa_tilde) / p.x0
+        grids.append(np.linspace(-pad, 3.0 + pad, 4001) * p.x0)
+    grids.append(np.linspace(-0.5, 2.5, 97))
+    for grid in grids:
+        for s in (grid, grid[::-1]):
+            anchors, offsets = oracles._progression_split(s)
+            assert offsets.size == math.isqrt(s.size) > 1
+            split = (anchors[:, None] + offsets).ravel()[:s.size]
+            assert np.max(np.abs(split - s)) <= 8.0 * eps * np.abs(s).max()
+    scattered = np.sort(np.random.default_rng(5).uniform(-0.5, 2.5, 97))
+    anchors, offsets = oracles._progression_split(scattered)
+    assert offsets.size == 1 and np.array_equal(anchors, scattered)
 
 
 @pytest.mark.parametrize("u_max, xi_abs_max", [
