@@ -91,30 +91,10 @@ def _wavefunction(cfg, params):
     return ["x", "re_psi", "im_psi"], rows, {"transform": transform.summary()}
 
 
-# The map's n_x x N window and N x n_p complex wave matrices take
-# (8 n_x + 16 n_p) N bytes on N psi nodes.  64 MiB, 6.5 times the default
-# grids' share at 4,001 nodes, admits widths down to ~0.002 a.u. at kappa = 3.
-_HUSIMI_BYTES = 2 ** 26
-
-
 def _husimi(cfg, params):
     x0, width, p_max = params.x0, cfg["width"], cfg["p_max"]
-    lo, hi = -6.5 * width, cfg["x_max"] * x0 + 6.5 * width
-    # Panels no wider than the source's decay length, the window, or the
-    # overlap's shortest wavelength (husimi.husimi_grid).
-    k_psi = params.kappa * math.sqrt(max(hi / x0 - 1.0, 0.0)) / x0
-    h, scale = min((2.0 * x0 / params.kappa, "source"), (2.0 * width, "width"),
-                   (12.0 / (p_max + k_psi), "wavenumber"))
-    cap = _HUSIMI_BYTES // (8 * cfg["n_x"] + 16 * cfg["n_p"])
-    if not hi - lo <= (cap / 16 - 2) * h:  # also refuses h = 0
-        raise DomainError(
-            f"--width {width:g} and --p-max {p_max:g} need psi panels "
-            f"{h:.3g} a.u. wide over {hi - lo:.3g} a.u., more than the "
-            f"{cap} nodes --n-x and --n-p leave room for")
-    # An edge at the kink x = 0, where the source xi e^{-kappa |xi|} is.
-    edges = np.concatenate([np.linspace(lo, 0.0, math.ceil(-lo / h) + 1),
-                            np.linspace(0.0, hi, math.ceil(hi / h) + 1)[1:]])
-    x_nodes, weights = oscquad.gl_panels(edges)
+    x_nodes, weights, diagnostics = husimi_mod.psi_nodes(
+        params, cfg["x_max"], width, p_max)
     transform = sfa._transform_for(params, x_nodes / x0)
     psi = sfa.ComplexGrid1D(coordinates=x_nodes, weights=weights,
                             values=transform.psi(x_nodes / x0))
@@ -126,8 +106,7 @@ def _husimi(cfg, params):
                             hg.magnitude.ravel()])
     return ["x", "p", "magnitude"], rows, {
         "width": width, "transform": transform.summary(),
-        "diagnostics": {"psi_nodes": int(x_nodes.size), "panel_width": h,
-                        "panel_width_set_by": scale}}
+        "diagnostics": diagnostics}
 
 
 def _larmor(cfg, params):

@@ -8,12 +8,19 @@ tunnel exit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import oscquad
 from .errors import DomainError
 from .sfa import ComplexGrid1D
+
+# Most psi nodes psi_nodes builds, whatever the map's grid: on this many
+# nodes the default 121 x 100 map's n_x x N window and N x n_p complex wave
+# matrices take 64 MiB.
+_MAX_NODES = 26_132
 
 
 @dataclass(frozen=True)
@@ -34,12 +41,31 @@ class PhaseSpaceGrid:
             raise DomainError("magnitudes must be non-negative")
 
 
-def _check_coverage(xs: np.ndarray, x: float, width: float) -> None:
-    lo, hi = xs[0], xs[-1]
-    if x - 6.0 * width < lo or x + 6.0 * width > hi:
+def psi_nodes(params, x_max: float, width: float, p_max: float,
+              refine: int = 1):
+    """Nodes x (a.u.), weights and diagnostics of the Husimi overlap's rule:
+    16-point Gauss-Legendre panels over [-6.5 width, x_max x0 + 6.5 width],
+    an edge at the source's kink x = 0, h = min(2 x0/kappa, 2 width,
+    12/(p_max + k_psi))/refine wide, k_psi = kappa sqrt(xi_hi - 1)/x0 psi's
+    largest wavenumber.  Within 2.5e-15 of max|H| of refine = 4 at
+    kappa = 1.5-40 (176-1,088 nodes); a trapezoid grid across the kink
+    converges like h^4.  More than _MAX_NODES nodes is a DomainError.
+    """
+    x0 = params.x0
+    lo, hi = -6.5 * width, x_max * x0 + 6.5 * width
+    k_psi = params.kappa * math.sqrt(max(hi / x0 - 1.0, 0.0)) / x0
+    h, scale = min((2.0 * x0 / params.kappa, "source"), (2.0 * width, "width"),
+                   (12.0 / (p_max + k_psi), "wavenumber"))
+    h /= refine
+    if not hi - lo <= (_MAX_NODES / 16 - 2) * h:  # also refuses h = 0
         raise DomainError(
-            f"grid [{lo:.3f}, {hi:.3f}] does not span "
-            f"[{x - 6 * width:.3f}, {x + 6 * width:.3f}]")
+            f"width {width:g} and p_max {p_max:g} need psi panels {h:.3g} "
+            f"a.u. wide over {hi - lo:.3g} a.u., more than {_MAX_NODES} nodes")
+    edges = np.concatenate([np.linspace(lo, 0.0, math.ceil(-lo / h) + 1),
+                            np.linspace(0.0, hi, math.ceil(hi / h) + 1)[1:]])
+    nodes, weights = oscquad.gl_panels(edges)
+    return nodes, weights, {"psi_nodes": int(nodes.size), "panel_width": h,
+                            "panel_width_set_by": scale}
 
 
 def husimi_point(psi: ComplexGrid1D, x: float, p: float, width: float) -> float:
@@ -52,25 +78,21 @@ def husimi_grid(psi: ComplexGrid1D, x_grid, p_grid, width: float) -> PhaseSpaceG
 
     H = W @ F with the Gaussian windows W[i, j] = g(x'_j - x_i) and
     F[j, m] = w_j psi(x'_j) e^{-i p_m x'_j}, w the quadrature weights psi
-    carries.  The CLI integrates on 16-point Gauss-Legendre panels with an
-    edge at the source's kink x = 0, h = min(2 x0/kappa, 2 width,
-    12/(p_max + k_psi)) wide, k_psi = kappa sqrt(xi_hi - 1)/x0: within
-    2.5e-15 of max|H| of panels a quarter as wide at kappa = 1.5-40 (176-1,088
-    nodes), where a trapezoid grid across the kink converges like h^4 (4,001
-    points: 7.1e-11 at kappa = 40).  The real W multiplies the real and
+    carries; psi_nodes builds the CLI's.  The real W multiplies the real and
     imaginary parts of F in one real product.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
-    if x_grid.size == 0 or p_grid.size == 0:
-        raise DomainError("grids must be non-empty")
-    if not (np.all(np.isfinite(x_grid)) and np.all(np.isfinite(p_grid))):
-        raise DomainError("grids must be finite")
+    if not (x_grid.size and p_grid.size and np.isfinite(x_grid).all()
+            and np.isfinite(p_grid).all()):
+        raise DomainError("grids must be non-empty and finite")
     if not 0.0 < width < np.inf:
         raise DomainError("width must be finite and positive")
     xs = psi.coordinates
-    _check_coverage(xs, float(x_grid.min()), width)
-    _check_coverage(xs, float(x_grid.max()), width)
+    lo, hi = x_grid.min() - 6.0 * width, x_grid.max() + 6.0 * width
+    if lo < xs[0] or hi > xs[-1]:
+        raise DomainError(f"grid [{xs[0]:.3f}, {xs[-1]:.3f}] does not span "
+                          f"[{lo:.3f}, {hi:.3f}]")
     norm = (1.0 / (np.pi * width * width)) ** 0.25
     windows = norm * np.exp(-((xs[None, :] - x_grid[:, None]) ** 2)
                             / (2.0 * width * width))  # (n_x, n_x')

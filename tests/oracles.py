@@ -195,6 +195,16 @@ def _remainder_transform(kappa: float, xi: np.ndarray) -> np.ndarray:
     return -math.pi * np.exp(-b) * (np.sign(a) * odd + even)
 
 
+def husimi_sum(psi, x: float, p: float, width: float) -> float:
+    """|<g_{x,p}|psi>| as the plain weighted sum |sum_j w_j conj(g_j) psi_j|
+    over the grid's own weights, one point at a time and with no window
+    entry zeroed: the reference husimi.husimi_grid's one product replaces."""
+    xs = psi.coordinates
+    g = ((1.0 / (np.pi * width * width)) ** 0.25
+         * np.exp(-((xs - x) ** 2) / (2.0 * width * width) + 1j * p * xs))
+    return float(abs(np.sum(psi.weights * np.conj(g) * psi.values)))
+
+
 def _progression_split(s: np.ndarray):
     """Anchors and offsets of the index split j = b B + r of a flat array.
 

@@ -259,14 +259,25 @@ def test_wavefunction_past_the_airy_domain_exits_2(tmp_path):
 @pytest.mark.parametrize("flags", [["--width", "1e-7"], ["--width", "1e-4"],
                                    ["--p-max", "1e300"]])
 def test_unresolvable_husimi_window_exits_2_at_once(tmp_path, flags):
-    """A window narrower than the psi nodes the map matrices can hold exits 2
-    before any array is built, instead of writing a map whose rows are
+    """A window whose psi rule needs more than husimi._MAX_NODES nodes exits
+    2 before any array is built, instead of writing a map whose rows are
     exactly 0 between under-resolved samples."""
     out = tmp_path / "h.csv"
     t0 = time.perf_counter()
     assert run_cli(["husimi", "--kappa", "3", *flags, "--out", str(out)]) == 2
     assert time.perf_counter() - t0 < 1.0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_husimi_node_cap_ignores_the_output_grid(tmp_path):
+    """The cap counts psi nodes alone: 8,000 positions at kappa 40 (1,088
+    nodes, a 70 MB window matrix) still run, as they did on the former
+    4,001-point grid."""
+    out = tmp_path / "h.csv"
+    assert run_cli(["husimi", "--kappa", "40", "--n-x", "8000", "--n-p", "2",
+                    "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "h.json").read_text())
+    assert side["diagnostics"]["psi_nodes"] == 1088
 
 
 def test_larmor_and_husimi_share_one_transform(tmp_path):

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from tunnelclock import DomainError, HELIUM_IP, params_from_kappa
-from tunnelclock import cli, husimi, oscquad, sfa
+from tunnelclock import cli, husimi, sfa
+
+import oracles
 
 
 PARAMS = params_from_kappa(HELIUM_IP, 2.0)
@@ -115,7 +117,8 @@ def test_ridge_monotone_approach_to_classical():
 
 
 def test_grid_matches_point_on_nonuniform_grid():
-    """The one-product grid equals the cell-by-cell trapezoid sum."""
+    """The one-product grid equals the plain weighted sum over a scattered
+    grid's default trapezoid weights."""
     width = 1.0 / math.sqrt(PARAMS.kappa_tilde)
     rng = np.random.default_rng(3)
     xi = np.sort(np.concatenate([[-2.6, 5.8], rng.uniform(-2.6, 5.8, 2000)]))
@@ -125,13 +128,14 @@ def test_grid_matches_point_on_nonuniform_grid():
     p_grid = np.linspace(0.0, 2.5, 11)
     hg = husimi.husimi_grid(grid, x_grid, p_grid, width)
     for i, j in zip(rng.integers(0, 7, 12), rng.integers(0, 11, 12)):
-        point = husimi.husimi_point(grid, x_grid[i], p_grid[j], width)
+        point = oracles.husimi_sum(grid, x_grid[i], p_grid[j], width)
         assert hg.magnitude[i, j] == pytest.approx(point, rel=1e-12)
 
 
 def test_grid_matches_point_where_windows_hold_subnormals():
     """At kappa 40 the windows' far tails fall below the smallest normal
-    double; the one-product grid still equals the cell-by-cell sum."""
+    double; the one-product grid, which zeroes them, still equals the plain
+    weighted sum, which keeps them."""
     params = params_from_kappa(HELIUM_IP, 40.0)
     width = 1.0 / math.sqrt(params.kappa_tilde)
     xi = np.linspace(-0.2, 3.2, 2001)
@@ -145,39 +149,35 @@ def test_grid_matches_point_where_windows_hold_subnormals():
     hg = husimi.husimi_grid(grid, x_grid, p_grid, width)
     rng = np.random.default_rng(5)
     for i, j in zip(rng.integers(0, 13, 12), rng.integers(0, 11, 12)):
-        point = husimi.husimi_point(grid, x_grid[i], p_grid[j], width)
+        point = oracles.husimi_sum(grid, x_grid[i], p_grid[j], width)
         assert hg.magnitude[i, j] == pytest.approx(point, rel=1e-12)
 
 
-@pytest.mark.parametrize("kappa, flags", [
-    (1.5, []), (3.0, []), (10.0, []), (40.0, []),
-    (3.0, ["--width", "0.1"]), (3.0, ["--width", "0.3", "--p-max", "12"]),
-    (3.0, ["--p-max", "20"])])
-def test_cli_map_matches_panels_a_quarter_as_wide(tmp_path, kappa, flags):
-    """The CLI integrates psi on Gauss-Legendre panels broken at the kink
-    x = 0, h = min(2 x0/kappa, 2 width, 12/(p_max + k_psi)) wide; panels a
-    quarter as wide move the map by less than 1e-13 of its max.  Panels
-    2 x0/kappa wide miss by 2.7e-4 at --width 0.1 and by 2.9e-9 at --p-max
-    20."""
+@pytest.mark.parametrize("kappa, flags, set_by", [
+    (1.5, [], "source"), (3.0, [], "source"), (10.0, [], "source"),
+    (40.0, [], "source"), (3.0, ["--width", "0.1"], "width"),
+    (3.0, ["--width", "0.3", "--p-max", "12"], "width"),
+    (3.0, ["--p-max", "20"], "wavenumber")])
+def test_cli_map_matches_panels_a_quarter_as_wide(tmp_path, kappa, flags,
+                                                  set_by):
+    """The CLI integrates psi on husimi.psi_nodes, Gauss-Legendre panels with
+    an edge at the kink x = 0; panels a quarter as wide move the map by less
+    than 1e-13 of its max.  Panels 2 x0/kappa wide miss by 2.7e-4 at
+    --width 0.1 and by 2.9e-9 at --p-max 20."""
     out = tmp_path / "h.csv"
     assert cli.main(["husimi", "--kappa", str(kappa), *flags,
                      "--out", str(out)]) == 0
     side = json.loads((tmp_path / "h.json").read_text())
     cfg, x0 = side["config"], side["model"]["x0"]
     width, p_max = cfg["width"], cfg["p_max"]
-    lo, hi = -6.5 * width, cfg["x_max"] * x0 + 6.5 * width
-    k_psi = kappa * math.sqrt(max(hi / x0 - 1.0, 0.0)) / x0
-    scales = {"source": 2.0 * x0 / kappa, "width": 2.0 * width,
-              "wavenumber": 12.0 / (p_max + k_psi)}
-    h = min(scales.values())
-    assert side["diagnostics"] == {
-        "panel_width": h, "panel_width_set_by": min(scales, key=scales.get),
-        "psi_nodes": 16 * (math.ceil(-lo / h) + math.ceil(hi / h))}
-    edges = np.concatenate([
-        np.linspace(lo, 0.0, math.ceil(-lo / (h / 4)) + 1),
-        np.linspace(0.0, hi, math.ceil(hi / (h / 4)) + 1)[1:]])
-    x, weights = oscquad.gl_panels(edges)
     params = params_from_kappa(HELIUM_IP, kappa)
+    x, _, diagnostics = husimi.psi_nodes(params, cfg["x_max"], width, p_max)
+    assert side["diagnostics"] == diagnostics
+    assert diagnostics["panel_width_set_by"] == set_by
+    assert diagnostics["psi_nodes"] == x.size
+    x, weights, _ = husimi.psi_nodes(params, cfg["x_max"], width, p_max,
+                                     refine=4)
+    assert np.sum(weights[x < 0.0]) == pytest.approx(6.5 * width, rel=1e-13)
     fine = husimi.husimi_grid(
         sfa.ComplexGrid1D(coordinates=x, weights=weights,
                           values=sfa.psi_position(params, x / x0)),
