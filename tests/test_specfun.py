@@ -123,17 +123,62 @@ def test_crossover_continuity_away_from_positive_axis():
 
 
 def test_ai_real_vectorized_matches_scalar():
+    """The real kernel agrees with complex `airy` (AMOS) on the real axis."""
     xs = np.linspace(-12.0, 4.0, 37)
     vec = specfun.ai_real(xs)
     for x, v in zip(xs, vec):
         assert v == pytest.approx(specfun.airy(x).ai.real, rel=1e-13, abs=1e-300)
 
 
+def test_taylor_anchors_are_30_digit_values_to_one_ulp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for a, row in zip(range(-9, 10), specfun._ANCHORS):
+            ref = [float(f) for f in (mpmath.airyai(a), mpmath.airyai(a, 1),
+                                      mpmath.airybi(a), mpmath.airybi(a, 1))]
+            assert np.all(np.abs(row - ref) <= np.spacing(np.abs(ref))), a
+
+
+def test_ai_bi_scaled_against_mpmath_on_committed_grid():
+    """Ai e^zeta and Bi e^-zeta against 30-digit mpmath, zeta taken exactly:
+    relative for x >= 0; for x < 0 relative to the envelope max(|Ai|, |Bi|,
+    |x|^-1/4 / sqrt(pi)), to eps zeta past -9.5, the rounding of the phase."""
+    mpmath = pytest.importorskip("mpmath")
+    g = np.logspace(-3, math.log10(30.0), 121)
+    xs = np.concatenate([[0.0], g, -g, np.linspace(-12.0, 12.0, 241),
+                         [9.5, -9.5, 9.499999999999998, -9.499999999999998,
+                          100.0, -100.0, 103.5, 700.0, -777.7, 1e3, -1e3,
+                          1e4, -1e4]])
+    ai, bi, zeta = specfun.ai_bi_scaled(xs)
+    ref = []
+    with mpmath.workdps(30):
+        for x in xs:
+            z = mpmath.mpf(2) / 3 * abs(mpmath.mpf(x)) ** 1.5
+            scale = mpmath.exp(z if x > 0 else 0)
+            ref.append([float(mpmath.airyai(x) * scale),
+                        float(mpmath.airybi(x) / scale), float(z)])
+    ref_ai, ref_bi, z = np.array(ref).T
+    np.testing.assert_allclose(zeta, np.where(xs > 0.0, z, 0.0), rtol=4e-16, atol=0.0)
+    neg = xs < 0.0
+    scale = np.abs([ref_ai, ref_bi])
+    scale[:, neg] = np.maximum(scale.max(axis=0)[neg],
+                               np.abs(xs[neg]) ** -0.25 / math.sqrt(math.pi))
+    err = np.abs([ai - ref_ai, bi - ref_bi]) / scale
+    bound = np.select([xs >= 9.5, xs >= 0.0, xs > -9.5], [5e-16, 4e-15, 4e-16],
+                      1.5 * np.finfo(float).eps * z)
+    assert np.all(err <= bound)
+
+
 def test_overflow_raises():
-    """Outside |z| <= 1e4, and inside it where Bi overflows (z > 103.2)."""
+    """Outside |z| <= 1e4, for complex and real Airy, and where Bi overflows
+    inside it (z > 103.2), for complex `airy`."""
     for z in (1e8, 110.0):
         with pytest.raises(DomainError):
             specfun.airy(z)
+    for func in (specfun.ai_real, specfun.ai_bi_scaled):
+        for x in (1.0001e4, -1e5, np.array([0.5, -1.0001e4])):
+            with pytest.raises(DomainError):
+                func(x)
 
 
 def test_scorer_gi_rejects_overflow_region():
@@ -162,7 +207,7 @@ def test_non_finite_argument_raises_domain_error(value):
     for arg in (value, complex(0.5, value)):  # airy takes one complex z
         with pytest.raises(DomainError):
             specfun.airy(arg)
-    for func in (specfun.ai_real, specfun.scorer_gi):
+    for func in (specfun.ai_real, specfun.ai_bi_scaled, specfun.scorer_gi):
         for arg in (value, np.array([0.5, value])):
             with pytest.raises(DomainError):
                 func(arg)
