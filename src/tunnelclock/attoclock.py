@@ -3,9 +3,9 @@
 tau_A(u) = tau_tilde * Re[ N(u) / D(u) ]
 
 with the half-line cubic-phase integrals (lower limit -u, prefactors
-u'^2/(u'^2+1)^2 and u'/(u'^2+1)^2) taken by the fixed rule of
-oscquad.cubic_phase_integral, a whole trace in one call per prefactor;
-D is sfa.ionization_integral.  The drift p/F has already been subtracted,
+u'^2/(u'^2+1)^2 for N and u'/(u'^2+1)^2 for D, the ionization integral)
+taken by the fixed rule of oscquad.cubic_phase_integral: a whole trace, both
+prefactors, in one call.  The drift p/F has already been subtracted,
 so tau_A is a pure tunneling delay; it is non-zero at the tunnel exit and
 vanishes at the detector by parity.
 """
@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oscquad, sfa
+from . import oscquad
 from .errors import DomainError
 from .model import ModelParams
 
 # Lower limits -+_PARITY_CUT of the half-lines asymptotic_parity_split joins.
 _PARITY_CUT = 12.0
+# Poles of both prefactors, those of the bound-state overlap u'/(u'^2+1)^2.
+OVERLAP_POLES = (1j, -1j)
 
 
 @dataclass(frozen=True)
@@ -49,12 +51,23 @@ def _g_delay(t):
     return t * t / (t * t + 1.0) ** 2
 
 
+def _overlap_g(t):
+    """Denominator prefactor u'/(u'^2+1)^2 (odd), the bound-state overlap."""
+    t = np.asarray(t, dtype=complex)
+    return t / (t * t + 1.0) ** 2
+
+
+def _n_and_d(params: ModelParams, lower):
+    """N and D stacked, over the same lower limits in one call."""
+    return oscquad.cubic_phase_integral(
+        params.kappa, 1.0, lower=lower, poles=OVERLAP_POLES,
+        g=lambda t: np.stack([_g_delay(t), _overlap_g(t)]))
+
+
 def _weak_delay(params: ModelParams, u) -> np.ndarray:
-    """tau_A at every u: one N and one D call over all lower limits -u."""
+    """tau_A at every u: N and D in one call over all lower limits -u."""
     u = np.asarray(u, dtype=float)
-    n = oscquad.cubic_phase_integral(
-        params.kappa, 1.0, lower=-u, g=_g_delay, poles=sfa.OVERLAP_POLES)
-    d = sfa.ionization_integral(params, u)
+    n, d = _n_and_d(params, -u)
     small = np.abs(d) < 1e-300
     if np.any(small):
         raise DomainError(
@@ -76,11 +89,8 @@ def asymptotic_parity_split(params: ModelParams):
     half-line pieces follow from conjugation symmetry of the real
     prefactors (even g -> +conj, odd g -> -conj of the right tail).
     """
-    num_main, num_tail = oscquad.cubic_phase_integral(
-        params.kappa, 1.0, lower=(-_PARITY_CUT, _PARITY_CUT), g=_g_delay,
-        poles=sfa.OVERLAP_POLES)
-    den_main, den_tail = sfa.ionization_integral(
-        params, (_PARITY_CUT, -_PARITY_CUT))
+    (num_main, num_tail), (den_main, den_tail) = _n_and_d(
+        params, (-_PARITY_CUT, _PARITY_CUT))
     return num_main + np.conj(num_tail), den_main - np.conj(den_tail)
 
 

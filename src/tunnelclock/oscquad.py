@@ -64,6 +64,8 @@ _PANEL_WIDTH = 0.5
 _PANEL_TURN = 10.0
 _BLOCK = 1 << 16
 MAX_PANELS = 1 << 24
+# Angle of the tail ray; the cubic decays on it for any angle in (-pi/3, 0).
+_ROTATION = -math.pi / 6.0
 # A declared pole closer than this to the rotated tail ray is refused.
 _POLE_CLEARANCE = 0.5
 
@@ -172,16 +174,17 @@ def tail_split_point(kappa: float, w: float, lower: float) -> float:
 
 def cubic_phase_integral(kappa: float, w: float, lower=0.0,
                          g: Callable | None = None,
-                         poles: Sequence[complex] = (),
-                         rotation: float = -math.pi / 6.0):
+                         poles: Sequence[complex] = ()):
     """integral_{lower}^{infty} g(u) exp(-i kappa (u^3/3 + w u)) du.
 
-    A scalar lower gives a complex, an array one integral per element.
+    A scalar lower gives a complex, an array one integral per element.  A
+    g that stacks several prefactors on a leading axis (shape (m, n) on n
+    nodes) integrates them all on the same nodes; the result gains that axis.
     16-point Gauss-Legendre panels cover [min(lower), U], U =
     tail_split_point(kappa, w, max(lower)), broken at every lower limit,
     each at most _PANEL_WIDTH wide and turning at most _PANEL_TURN radians
     of the local phase kappa (u^2 + |w|).  Their sums accumulate from the
-    right onto one tail on the ray U + s e^{i rotation}, taken on geometric
+    right onto one tail on the ray U + s e^{i _ROTATION}, taken on geometric
     panels until the cubic decay underflows.  g is called on real and on
     complex (ray) node arrays; declared poles are checked against the ray.
 
@@ -199,11 +202,8 @@ def cubic_phase_integral(kappa: float, w: float, lower=0.0,
                           f"got kappa={kappa}, w={w}")
     if lows.size == 0 or not np.all(np.isfinite(lows)):
         raise DomainError("lower limits must be finite and non-empty")
-    if not (-math.pi / 3.0 < rotation < 0.0):
-        raise DomainError("rotation angle must lie in (-pi/3, 0) for decay")
-
     u_split = tail_split_point(kappa, w, float(lows.max()))
-    direction = cmath.exp(1j * rotation)
+    direction = cmath.exp(1j * _ROTATION)
     for p in poles:
         p = complex(p)
         # Distance from p to the ray {u_split + s*direction, s >= 0}.
@@ -236,23 +236,27 @@ def cubic_phase_integral(kappa: float, w: float, lower=0.0,
         f = np.exp(-1j * kappa * u * (u * u / 3.0 + w))
         return f if g is None else g(u) * f
 
-    sums = np.empty(edges.size - 1, dtype=complex)
-    for lo in range(0, sums.size, _BLOCK):
-        t, wts = gl_panels(edges[lo:lo + _BLOCK + 1])
-        sums[lo:lo + _BLOCK] = (wts * integrand(t)).reshape(
-            -1, _GL_X.size).sum(axis=1)
-    from_edge = np.append(np.cumsum(sums[::-1])[::-1], 0.0)
-
     # Tail: u = u_split + s*direction.  The exponent's real part falls like
-    # -(kappa/3) s^3 sin(3|rotation|); geometric panels from the boundary
-    # layer of width 1/(kappa (U^2 + w) sin|rotation|) to the underflow cut.
-    decay1 = kappa * max(u_split ** 2 + w, 1.0) * math.sin(-rotation)
-    decay3 = (kappa / 3.0) * math.sin(-3.0 * rotation)
+    # -(kappa/3) s^3 sin(3|_ROTATION|); geometric panels from the boundary
+    # layer of width 1/(kappa (U^2 + w) sin|_ROTATION|) to the underflow cut.
+    decay1 = kappa * max(u_split ** 2 + w, 1.0) * math.sin(-_ROTATION)
+    decay3 = (kappa / 3.0) * math.sin(-3.0 * _ROTATION)
     s_max = (760.0 / decay3) ** (1.0 / 3.0) + 2.0 * math.sqrt(max(0.0, -w))
     first = min(1.0 / decay1, s_max)
     steps = np.arange(math.ceil(math.log2(s_max / first)) + 1)
     s, s_wts = gl_panels(np.append(0.0, np.minimum(first * 2.0 ** steps, s_max)))
-    tail = direction * np.sum(s_wts * integrand(u_split + direction * s))
+    tail = direction * np.sum(s_wts * integrand(u_split + direction * s),
+                              axis=-1)
 
-    out = from_edge[where[grid.size:]].reshape(lows.shape) + tail
+    # Panel sums (a trailing 0: nothing right of U), leading axes as g's.
+    sums = np.zeros(tail.shape + (edges.size,), dtype=complex)
+    for lo in range(0, edges.size - 1, _BLOCK):
+        hi = min(lo + _BLOCK, edges.size - 1)
+        t, wts = gl_panels(edges[lo:hi + 1])
+        sums[..., lo:hi] = (wts * integrand(t)).reshape(
+            tail.shape + (-1, _GL_X.size)).sum(axis=-1)
+    from_edge = np.cumsum(sums[..., ::-1], axis=-1)[..., ::-1]
+
+    out = (from_edge[..., where[grid.size:]] + tail[..., None]).reshape(
+        tail.shape + lows.shape)
     return complex(out) if out.ndim == 0 else out

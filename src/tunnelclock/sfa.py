@@ -1,11 +1,9 @@
 """Strong-field-approximation solution of the 1D static-field model.
 
-Provides the ionization integral behind the exact momentum-space
-wavefunction, the position-space wavefunction from the Airy Green's
-function (psi_position), and the saddle-point value amplitude_A used as an
-analytic cross-check.  The global phase
-exp(i*ip*t) of the stationary solution is dropped throughout; only
-relative phases enter the time observables.
+Provides the position-space wavefunction from the Airy Green's function
+(psi_position) and the saddle-point value amplitude_A used as an analytic
+cross-check.  The global phase exp(i*ip*t) of the stationary solution is
+dropped throughout; only relative phases enter the time observables.
 """
 
 from __future__ import annotations
@@ -19,9 +17,6 @@ import numpy as np
 from . import oscquad, specfun
 from .errors import DomainError
 from .model import ModelParams
-
-# Poles of the bound-state overlap prefactor u/(u^2+1)^2.
-OVERLAP_POLES = (1j, -1j)
 
 
 @dataclass(frozen=True)
@@ -51,22 +46,6 @@ class ComplexGrid1D:
         object.__setattr__(self, "coordinates", c)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "weights", w)
-
-
-def _overlap_g(u):
-    """Dimensionless odd prefactor of the ionization integral."""
-    u = np.asarray(u, dtype=complex)
-    return u / (u * u + 1.0) ** 2
-
-
-def ionization_integral(params: ModelParams, u):
-    """I(u) = integral_{-u}^{infty} dt exp(-i kappa (t^3/3+t)) t/(t^2+1)^2.
-
-    Scalar u gives a complex, an array of u one value per element.
-    """
-    return oscquad.cubic_phase_integral(
-        params.kappa, 1.0, lower=-np.asarray(u, dtype=float), g=_overlap_g,
-        poles=OVERLAP_POLES)
 
 
 def amplitude_A(params: ModelParams) -> float:

@@ -5,11 +5,14 @@ a decaying Airy branch for x < 0, an Airy pair in the barrier region
 0 < x < x0 (where a potential offset V probes the time), and an outgoing
 combination Ai - i Bi beyond the exit.  Matching value and the
 delta-induced derivative jump at x = 0 plus value/derivative continuity at
-x = x0 yields an overdetermined 4x3 linear system; its consistency
-condition locates the decaying resonance, and the V derivative of the
-transmitted phase gives the Larmor time.  Every entry is an Airy function
-at an argument linear in E and V, and Ai'' = z Ai, so both derivatives
-are taken in closed form.
+x = x0 yields an overdetermined 4x3 linear system.  At V = 0 its x0 rows
+only put the barrier pair on the outgoing wave, so the decaying resonance
+is the zero of the 2x2 condition at the delta core (the zero-range
+Green's-function form; Geltman, J. Phys. B 11 (1978) 3323).  The 4x3
+system gives the Larmor time, the V derivative of the transmitted phase,
+and the CLI's independent check of the resonance.  Every entry is an Airy
+function at an argument linear in E and V, and Ai'' = z Ai, so the
+derivatives are taken in closed form.
 
 A square-barrier scattering demonstration of the weak-value/variational
 equivalence is included.
@@ -18,7 +21,6 @@ equivalence is included.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -59,28 +61,21 @@ def _airy_matrix(z: complex):
 
 
 def _matching_system(params: ModelParams, energy: complex):
-    """[M | rhs] of the matching conditions and its Airy-argument derivative.
+    """[M | rhs] of the matching conditions and dM/dV of its A0, B0 columns.
 
     Columns A0, B0, AR and rhs; rows: value and derivative jump at x = 0,
-    value and derivative continuity at x0.  Every entry is linear in Airy
-    values at s = -E/beta or s + x0/ell, so d[M | rhs]/dE is the returned
-    derivative times -1/beta.  A potential offset V in the barrier shifts
-    only the A0 and B0 columns' argument, by +V/beta.
+    value and derivative continuity at x0.  A potential offset V in the
+    barrier shifts only the A0 and B0 columns' Airy argument, by +V/beta.
     """
     beta, ell = _airy_scales(params)
     s = -energy / beta
-    jump = 2.0 * params.kappa_tilde * ell
     w_s, dw_s = _airy_matrix(s)
     w_b, dw_b = _airy_matrix(s + params.x0 / ell)
-
-    def assemble(at_0, at_x0):
-        aug = np.zeros((4, 4), dtype=complex)
-        aug[:2, :2], aug[2:, :2] = at_0, at_x0
-        aug[2:, 2] = 1j * at_x0[:, 1] - at_x0[:, 0]
-        aug[:2, 3] = at_0[:, 0] - (0.0, jump * at_0[0, 0])
-        return aug
-
-    return assemble(w_s, w_b), assemble(dw_s, dw_b)
+    aug = np.zeros((4, 4), dtype=complex)
+    aug[:2, :2], aug[2:, :2] = w_s, w_b
+    aug[2:, 2] = 1j * w_b[:, 1] - w_b[:, 0]
+    aug[:2, 3] = w_s[:, 0] - (0.0, 2.0 * params.kappa_tilde * ell * w_s[0, 0])
+    return aug, np.concatenate([dw_s, dw_b]) / beta
 
 
 def consistency_determinant(params: ModelParams, energy: complex) -> complex:
@@ -88,44 +83,48 @@ def consistency_determinant(params: ModelParams, energy: complex) -> complex:
     return complex(np.linalg.det(_matching_system(params, energy)[0]))
 
 
-def _determinant_and_slope(params: ModelParams, energy: complex):
-    """det[M | rhs] and its exact E derivative, from one matching system.
+def _core_condition(params: ModelParams, energy: complex):
+    """f(E) = j Ai (Ai - i Bi) - i (Ai Bi' - Ai' Bi) at s = -E/beta, and f'(E).
 
-    Jacobi's formula in row-replacement form, d det A = sum_i det(A with
-    row i replaced by row i of dA); unlike det A tr(A^-1 dA) it holds at
-    the root, where A is singular.
+    At V = 0 the x0 rows force A0 = AR and B0 = -i AR, so [M | rhs] is
+    consistent exactly when the delta-core rows AR (Ai - i Bi) = Ai and
+    AR (Ai' - i Bi') = Ai' - j Ai, j = 2 kappa~ ell, share one AR; f is their
+    2x2 determinant.  Ai'' = s Ai keeps the Wronskian constant, so f' is
+    exact.  The Wronskian is the computed one, not 1/pi, so that its rounding
+    cancels as in the 4x4 determinant (1/pi put the width 2.4e-12 off at
+    kappa 30).
     """
-    aug, d_aug = _matching_system(params, energy)
-    stack = np.repeat(aug[None], 5, axis=0)
-    rows = np.arange(4)
-    stack[rows + 1, rows] = d_aug
-    det = np.linalg.det(stack)
-    return complex(det[0]), complex(-det[1:].sum() / _airy_scales(params)[0])
+    beta, ell = _airy_scales(params)
+    jump = 2.0 * params.kappa_tilde * ell
+    a = specfun.airy(-energy / beta)
+    out = a.ai - 1j * a.bi
+    f = jump * a.ai * out - 1j * (a.ai * a.bi_prime - a.ai_prime * a.bi)
+    slope = a.ai_prime * out + a.ai * (a.ai_prime - 1j * a.bi_prime)
+    return complex(f), complex(-jump * slope / beta)
 
 
-@functools.lru_cache(maxsize=8)
 def find_resonance(params: ModelParams) -> Resonance:
-    """Damped Newton iteration on the consistency determinant.
+    """Damped Newton iteration on the delta-core condition _core_condition.
 
-    The determinant is analytic in E, so a complex Newton step from the
-    unperturbed bound energy -ip converges to the decaying resonance: at
-    most 80 steps, until the Newton step is below 1e-13 |E|.  The slope is
-    exact (_determinant_and_slope), so each trial point costs one matching
-    system, two Airy evaluations: 3-5 per resonance at ip = HELIUM_IP,
-    kappa 1-60.  Against a 40-digit mpmath root at kappa in {2, 4, 10, 20},
-    E is within 3.2e-14 relative and the width within 5.9e-14 (3.1e-13 at
-    kappa 30).  From kappa = 32.75 at ip = HELIUM_IP the width is 2.0 times
-    the mpmath width: Im E is below the rounding of Re E, and scipy's Im Bi
-    at the near-real s = -E/beta >= 10.24 is 0.8 % off.  Cached per params.
+    f is analytic in E, so a complex Newton step from the unperturbed bound
+    energy -ip converges to the decaying resonance: at most 80 steps, until
+    the Newton step is below 1e-13 |E|.  The slope is exact, so each trial
+    point costs one Airy evaluation: 3-5 per resonance at ip = HELIUM_IP,
+    kappa 1-60.  Against a 40-digit mpmath root of det[M | rhs], Re E is
+    within 2.9e-14 relative and the width within 4.1e-14, 3.1e-14, 1.7e-14,
+    1.4e-14, 3.9e-14 and 2.9e-14 at kappa 2, 4, 10, 20, 25 and 30.  From
+    kappa = 32.75 at ip = HELIUM_IP the width is 2.0 times the mpmath width:
+    Im E is below the rounding of Re E, and scipy's Im Bi at the near-real
+    s = -E/beta >= 10.24 is 0.8 % off.
     """
     if params.kappa < 1.0:
         raise DomainError("resonance search requires kappa >= 1")
     e = complex(-params.ip)
     scale = params.ip
-    f, fp = _determinant_and_slope(params, e)
+    f, fp = _core_condition(params, e)
     for steps in range(1, 81):
         if fp == 0:
-            raise NonConvergenceError("determinant derivative vanished")
+            raise NonConvergenceError("condition derivative vanished")
         step = -f / fp
         if abs(step) < 1e-13 * abs(e):
             e = e + step
@@ -135,7 +134,7 @@ def find_resonance(params: ModelParams) -> Resonance:
         if abs(step) > max_step:
             step *= max_step / abs(step)
         for _ in range(25):
-            f_new, fp_new = _determinant_and_slope(params, e + step)
+            f_new, fp_new = _core_condition(params, e + step)
             if abs(f_new) < abs(f):
                 break
             step *= 0.5
@@ -165,22 +164,21 @@ def larmor_time_variational(params: ModelParams) -> float:
     (it moved tau by up to 2.3e-4 relative, at kappa 41.75).  Equilibrating
     M's columns is not done either: it made tau 1.0e-9 off at kappa 20.
     Against a 40-digit mpmath derivative of the same least-squares phase,
-    residual term included: 1.2e-13 relative at kappa 2, 6.3e-15 at 4,
-    3.4e-12 at 10, 2.4e-12 at 20, 5.4e-10 at 25 and 7.5e-9 at 30.
+    residual term included: 1.1e-13 relative at kappa 2, 5.5e-15 at 4,
+    3.4e-12 at 10, 1.9e-13 at 20, 6.2e-10 at 25 and 1.7e-10 at 30.
     Raises NonConvergenceError when the matching system at the resonance
     has a singular-value ratio below _RANK_TOL: from kappa = 43.25 at
     ip = HELIUM_IP (1.1e-13 at kappa 43, 9.4e-14 at 43.25, 1.0e-15 at 50).
     """
     e0 = find_resonance(params).energy
-    aug, d_aug = _matching_system(params, e0)
+    aug, dm_dv = _matching_system(params, e0)
     m = aug[:, :3]
     x, _, _, sv = np.linalg.lstsq(m, aug[:, 3], rcond=None)
     if not sv[-1] >= _RANK_TOL * sv[0]:
         raise NonConvergenceError(
             f"matching system at the resonance is rank-deficient "
             f"(sv ratio {sv[-1] / sv[0]:.3g} < {_RANK_TOL:g})")
-    dm_x = d_aug[:, :2] @ x[:2] / _airy_scales(params)[0]
-    y = np.linalg.lstsq(m, dm_x, rcond=None)[0]
+    y = np.linalg.lstsq(m, dm_dv @ x[:2], rcond=None)[0]
     return float((y[2] / x[2]).imag)
 
 

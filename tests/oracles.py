@@ -10,10 +10,22 @@ import math
 
 import numpy as np
 
-from tunnelclock import DomainError, larmor, oscquad, ppt, sfa, specfun
+from tunnelclock import (DomainError, attoclock, larmor, oscquad, ppt, sfa,
+                         specfun)
 
 # Centre of the oscillation period that scaling_factor_limit averages over.
 _LIMIT_XI = 40.0
+
+
+def ionization_integral(params, u):
+    """I(u) = integral_{-u}^{infty} dt exp(-i kappa (t^3/3+t)) t/(t^2+1)^2.
+
+    Scalar u gives a complex, an array of u one value per element; the
+    attoclock takes it as the second of its stacked prefactors.
+    """
+    return oscquad.cubic_phase_integral(
+        params.kappa, 1.0, lower=-np.asarray(u, dtype=float),
+        g=attoclock._overlap_g, poles=attoclock.OVERLAP_POLES)
 
 
 def bound_overlap(params, u_prime):
@@ -22,7 +34,7 @@ def bound_overlap(params, u_prime):
     Closed form F*x0^2/(i*kappa^2) * 4u'/(u'^2+1)^2; odd in u'.
     """
     pref = params.field * params.x0 ** 2 / (1j * params.kappa ** 2)
-    val = pref * 4.0 * sfa._overlap_g(u_prime)
+    val = pref * 4.0 * attoclock._overlap_g(u_prime)
     return complex(val) if val.ndim == 0 else val
 
 
@@ -44,9 +56,9 @@ def attoclock_time_via_delay(params, u: float) -> float:
         return (kt * up + p_det) / params.field * coupling(up)
 
     num = oscquad.cubic_phase_integral(
-        params.kappa, 1.0, lower=-float(u), g=g_num, poles=sfa.OVERLAP_POLES)
+        params.kappa, 1.0, lower=-float(u), g=g_num, poles=attoclock.OVERLAP_POLES)
     den = oscquad.cubic_phase_integral(
-        params.kappa, 1.0, lower=-float(u), g=coupling, poles=sfa.OVERLAP_POLES)
+        params.kappa, 1.0, lower=-float(u), g=coupling, poles=attoclock.OVERLAP_POLES)
     if abs(den) < 1e-300:
         raise DomainError(
             f"ionization amplitude underflows at u = {u}")
@@ -140,7 +152,7 @@ def psi_momentum(params, u: float) -> complex:
     """Stationary momentum-space wavefunction psi(u) (global phase dropped)."""
     phase = np.exp(-1j * params.kappa * (u ** 3 / 3.0 + u))
     return (4.0 * params.x0 / params.kappa) * complex(phase) \
-        * sfa.ionization_integral(params, u)
+        * ionization_integral(params, u)
 
 
 def psi_momentum_saddle(params, u: float) -> complex:
@@ -302,7 +314,7 @@ class UWindowTransform:
         # I at every node and the right tail from the last one, in one call:
         # I(inf) = I(u_last) + integral_{-inf}^{-u_last}, and that piece is
         # -conj of the right tail because the prefactor is odd and real.
-        i_all = sfa.ionization_integral(params, np.append(window, -window[-1]))
+        i_all = ionization_integral(params, np.append(window, -window[-1]))
         i_nodes, right_tail = i_all[:-1], i_all[-1]
         self.i_infinity = i_nodes[-1] - np.conj(right_tail)
 

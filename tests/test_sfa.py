@@ -69,9 +69,9 @@ def test_amplitude_vs_brute_quadrature_magnitude():
 
 def test_ionization_integral_conjugation_parity():
     """g is odd and real, so I over the full line is purely imaginary."""
-    left = sfa.ionization_integral(PARAMS, 14.0)
+    left = oracles.ionization_integral(PARAMS, 14.0)
     # full line = I(-(-14)) assembled from right tail by conjugation
-    right_tail = sfa.ionization_integral(PARAMS, -14.0)
+    right_tail = oracles.ionization_integral(PARAMS, -14.0)
     full = left - np.conj(right_tail)
     assert abs(full.real) <= 1e-12 * abs(full)
 
@@ -80,7 +80,7 @@ def test_psi_momentum_modulus_is_ift_modulus():
     u = 1.3
     val = oracles.psi_momentum(PARAMS, u)
     assert abs(val) == pytest.approx(
-        4.0 * PARAMS.x0 / PARAMS.kappa * abs(sfa.ionization_integral(PARAMS, u)),
+        4.0 * PARAMS.x0 / PARAMS.kappa * abs(oracles.ionization_integral(PARAMS, u)),
         rel=1e-12)
 
 

@@ -72,8 +72,18 @@ def test_variational_time_positive_and_stable():
     """Positive, and the same number again from a fresh resonance search."""
     tau = variational.larmor_time_variational(PARAMS)
     assert tau > 0.0
-    variational.find_resonance.cache_clear()
     assert variational.larmor_time_variational(PARAMS) == tau
+
+
+@pytest.mark.parametrize("kappa", [2.0, 4.0, 8.0])
+def test_one_airy_call_per_newton_step(kappa, monkeypatch):
+    """The delta-core condition and its slope come from one Airy bundle."""
+    calls = []
+    airy = variational.specfun.airy
+    monkeypatch.setattr(variational.specfun, "airy",
+                        lambda z: calls.append(z) or airy(z))
+    res = variational.find_resonance(params_from_kappa(HELIUM_IP, kappa))
+    assert len(calls) == res.newton_steps
 
 
 @pytest.mark.parametrize("kappa", [2.0, 4.0, 10.0, 20.0])
@@ -91,6 +101,20 @@ def test_resonance_and_time_against_mpmath(kappa):
     assert abs(res.width - width) <= 1e-12 * width
     assert abs(variational.larmor_time_variational(params) - tau) \
         <= 1e-10 * tau
+
+
+@pytest.mark.parametrize("kappa", [25.0, 30.0])
+def test_width_against_mpmath_at_large_kappa(kappa):
+    """The width within 1e-13 relative of the 40-digit root of det[M | rhs]
+    (measured 3.9e-14 at kappa 25 and 2.9e-14 at 30); tau is not checked
+    here, it is 6.2e-10 and 1.7e-10 off."""
+    mpmath = pytest.importorskip("mpmath")
+    params = params_from_kappa(HELIUM_IP, kappa)
+    res = variational.find_resonance(params)
+    with mpmath.workdps(40):
+        energy = oracles.resonance_by_mpmath(mpmath, params, res.energy)
+    width = -2.0 * float(energy.imag)
+    assert abs(res.width - width) <= 1e-13 * width
 
 
 @pytest.mark.parametrize("kappa", [33.25, 40.75])
@@ -208,10 +232,9 @@ def test_hartman_saturation():
 
 
 def test_nonconvergence_reported(monkeypatch):
-    """A determinant without a zero (e^E) runs Newton out of steps."""
-    monkeypatch.setattr(variational, "_determinant_and_slope",
+    """A condition without a zero (e^E) runs Newton out of steps."""
+    monkeypatch.setattr(variational, "_core_condition",
                         lambda params, energy: (cmath.exp(energy),) * 2)
-    variational.find_resonance.cache_clear()  # PARAMS may be cached
     with pytest.raises(NonConvergenceError):
         variational.find_resonance(PARAMS)
 
