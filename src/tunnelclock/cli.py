@@ -131,7 +131,7 @@ def _attoclock(cfg, params):
 
 def _variational(cfg, params):
     res = variational.find_resonance(params)
-    tau = variational.larmor_time_variational(params)
+    tau = variational.larmor_time_variational(params, res)
     defect = abs(variational.consistency_determinant(params, res.energy))
     rows = [["re_energy", res.energy.real],
             ["im_energy", res.energy.imag],
@@ -176,7 +176,7 @@ def _wronskian_defects(barrier):
 def _scattering(cfg, _):
     height, half_width, k = cfg["height"], cfg["half_width"], cfg["wavenumber"]
     barrier = variational.square_barrier(height, half_width, k)
-    tau_weak, tau_var = variational.scattering_equivalence(height, half_width, k)
+    tau_weak, tau_var = variational.scattering_equivalence(barrier)
     w_trans, w_refl = _wronskian_defects(barrier)
     rows = [["re_tau_weak", tau_weak.real],
             ["im_tau_weak", tau_weak.imag],
@@ -209,11 +209,12 @@ def _validate(cfg, params):
                  abs(den_full.real) / abs(den_full))
     checks.append(("attoclock_parity_split", parity, 1e-8))
 
-    tau_weak, tau_var = variational.scattering_equivalence(1.0, 1.0, 0.8)
+    barrier = variational.square_barrier(1.0, 1.0, 0.8)
+    tau_weak, tau_var = variational.scattering_equivalence(barrier)
     checks.append(("weak_vs_variational_time",
                    abs(tau_weak.real - tau_var) / abs(tau_var), 1e-6))
-    checks.append(("scattering_wronskian", max(_wronskian_defects(
-        variational.square_barrier(1.0, 1.0, 0.8))), 1e-12))
+    checks.append(("scattering_wronskian", max(_wronskian_defects(barrier)),
+                   1e-12))
 
     rows = [[name, value, tol, "pass" if value <= tol else "fail"]
             for name, value, tol in checks]

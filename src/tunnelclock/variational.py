@@ -151,8 +151,8 @@ def find_resonance(params: ModelParams) -> Resonance:
                      newton_steps=steps)
 
 
-def larmor_time_variational(params: ModelParams) -> float:
-    """tau = -d(arg AR)/dV at the resonance energy, in closed form.
+def larmor_time_variational(params: ModelParams, resonance: Resonance) -> float:
+    """tau = -d(arg AR)/dV at find_resonance(params)'s energy, in closed form.
 
     AR is the third component of the least-squares solution x = M^+ rhs,
     and only M's A0 and B0 columns depend on V.  At the resonance the
@@ -170,8 +170,7 @@ def larmor_time_variational(params: ModelParams) -> float:
     has a singular-value ratio below _RANK_TOL: from kappa = 43.25 at
     ip = HELIUM_IP (1.1e-13 at kappa 43, 9.4e-14 at 43.25, 1.0e-15 at 50).
     """
-    e0 = find_resonance(params).energy
-    aug, dm_dv = _matching_system(params, e0)
+    aug, dm_dv = _matching_system(params, resonance.energy)
     m = aug[:, :3]
     x, _, _, sv = np.linalg.lstsq(m, aug[:, 3], rcond=None)
     if not sv[-1] >= _RANK_TOL * sv[0]:
@@ -249,9 +248,8 @@ def square_barrier(height: float, halfwidth: float, k: float) -> SquareBarrier:
                          r_t=r_t, c_p=c_p, d_p=d_p, t_t=t_t)
 
 
-def scattering_equivalence(barrier_height: float, barrier_halfwidth: float,
-                           k: float) -> tuple[complex, float]:
-    """Weak-value and variational traversal times for a square barrier.
+def scattering_equivalence(sb: SquareBarrier) -> tuple[complex, float]:
+    """Weak-value and variational traversal times of a square_barrier.
 
     tau_weak = (1/k) * integral_{-a}^{a} psi_t^*(x) psi_i(x) dx / T,
     tau_variational = -d(arg T)/dV, exact: T = e^{-2ika}/D with
@@ -261,8 +259,7 @@ def scattering_equivalence(barrier_height: float, barrier_halfwidth: float,
     within 3.8e-16 relative of a 40-digit derivative of arg T, and the
     weak value agrees with it to 8.1e-14.
     """
-    sb = square_barrier(barrier_height, barrier_halfwidth, k)
-    a, q = sb.halfwidth, sb.q
+    a, k, q = sb.halfwidth, sb.k, sb.q
     # integral_{-a}^{a} (c' e^{qx} + d' e^{-qx})(c e^{qx} + d e^{-qx}) dx
     overlap = ((sb.c_p * sb.c + sb.d_p * sb.d) * math.sinh(2.0 * q * a) / q
                + 2.0 * a * (sb.c_p * sb.d + sb.d_p * sb.c))

@@ -10,8 +10,7 @@ import math
 
 import numpy as np
 
-from tunnelclock import (DomainError, attoclock, larmor, oscquad, ppt, sfa,
-                         specfun)
+from tunnelclock import DomainError, attoclock, larmor, oscquad, ppt, specfun
 
 # Centre of the oscillation period that scaling_factor_limit averages over.
 _LIMIT_XI = 40.0
@@ -116,6 +115,13 @@ def psi_position_saddle(params, xi):
     return complex(out) if np.isscalar(xi) else out
 
 
+def final_state(params, xi):
+    """The post-selected state Ai(kappa^{2/3}(1 - xi)) by specfun.ai_real,
+    independent of the psi that larmor reads it off."""
+    return specfun.ai_real(params.kappa ** (2.0 / 3.0)
+                           * (1.0 - np.asarray(xi, dtype=float)))
+
+
 def scaling_factor_limit(params) -> complex:
     """The defining limit of larmor.scaling_factor with the saddle form.
 
@@ -129,7 +135,7 @@ def scaling_factor_limit(params) -> complex:
     delta = 2.0 * math.pi / (k * math.sqrt(_LIMIT_XI - 1.0))
     xi = np.linspace(_LIMIT_XI - 0.5 * delta, _LIMIT_XI + 0.5 * delta, 257)
     v = params.kappa_tilde * np.sqrt(xi)
-    product = v * larmor.final_state(params, xi) \
+    product = v * final_state(params, xi) \
         * psi_position_saddle(params, xi)
     mean = np.trapezoid(product, xi) / delta
     return 1.0 / complex(mean)
@@ -142,7 +148,7 @@ def plateau_time_saddle(params) -> complex:
     barrier, on 32 Gauss-Legendre panels instead of the trace's Simpson sum.
     """
     xi, weights = oscquad.gl_panels(np.linspace(0.0, 1.0, 33))
-    overlap = np.sum(weights * larmor.final_state(params, xi)
+    overlap = np.sum(weights * final_state(params, xi)
                      * psi_position_saddle(params, xi))
     sigma = larmor.scaling_factor(params, saddle_prefactor(params))
     return complex(sigma * params.x0 * overlap)
@@ -480,3 +486,37 @@ def psi_green_by_mpmath(mpmath, params, stops):
         ai, bi = mpmath.airyai(z), mpmath.airybi(z)
         out.append(complex(-big_k * (1j * ai * amplitude + bi * l_x + ai * r_x)))
     return amplitude, np.array(out)
+
+
+def larmor_by_mpmath(mpmath, params, stops):
+    """Re tau at each xi in stops and the Im tau plateau, at the working
+    precision, from closed Airy forms (stops past the exit read xi = 1).
+
+    psi = -K [i Ai A + Bi L + Ai R] (green_by_mpmath) and C = -i K A, so
+    tau(xi) = b x0 int_0^xi [Ai^2 - i Ai (Bi L + Ai R) / A] dxi' with
+    b = 2^{2/3} pi / F^{1/3} and Ai, Bi at z = kappa^{2/3} (1 - xi').  The
+    antiderivatives G = z Ai^2 - Ai'^2 and H = z Ai Bi - Ai' Bi' in z (DLMF
+    9.11(iv)) give Re tau = b x0 kappa^{-2/3} [G(z(0)) - G(z(xi))], and one
+    integration by parts against L' = Ai s and R' = -Bi s, with
+    H Ai - G Bi = -Ai' (Ai Bi' - Ai' Bi) = -Ai'/pi, gives
+    Im tau(1) = b x0 kappa^{-2/3} ([H L + G R]_0^1 + int_0^1 s Ai'/pi) / A.
+    """
+    k = mpmath.mpf(params.kappa)
+    k23 = k ** (mpmath.mpf(2) / 3)
+    scale = (2 ** (mpmath.mpf(2) / 3) * mpmath.pi * mpmath.mpf(params.x0)
+             / (mpmath.cbrt(mpmath.mpf(params.field)) * k23))
+
+    def g_and_h(xi):
+        z = k23 * (1 - mpmath.mpf(min(float(xi), 1.0)))
+        ai, aip = (mpmath.airyai(z, derivative=d) for d in (0, 1))
+        bi, bip = (mpmath.airybi(z, derivative=d) for d in (0, 1))
+        return z * ai * ai - aip * aip, z * ai * bi - aip * bip
+
+    (g_0, h_0), (g_1, h_1) = g_and_h(0.0), g_and_h(1.0)
+    re_tau = np.array([float(scale * (g_0 - g_and_h(x)[0])) for x in stops])
+    amplitude, l_at, r_at = green_by_mpmath(mpmath, params, (0.0, 1.0))
+    tail = mpmath.quad(lambda x: x * mpmath.exp(-k * x)
+                       * mpmath.airyai(k23 * (1 - x), derivative=1), [0, 1])
+    im_tau = scale * (h_1 * l_at[1] + g_1 * r_at[1] - h_0 * l_at[0]
+                      - g_0 * r_at[0] + tail / mpmath.pi) / amplitude
+    return re_tau, float(im_tau)

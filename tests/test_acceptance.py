@@ -169,10 +169,10 @@ def test_criterion_07_weak_value_equals_variational():
     t0 = time.time()
     worst_eq, worst_wr = 0.0, 0.0
     for v0, a, k in _BARRIER_TRIPLES:
-        tau_weak, tau_var = variational.scattering_equivalence(v0, a, k)
+        b = variational.square_barrier(v0, a, k)
+        tau_weak, tau_var = variational.scattering_equivalence(b)
         worst_eq = max(worst_eq,
                        abs(tau_weak.real - tau_var) / abs(tau_var))
-        b = variational.square_barrier(v0, a, k)
         worst_wr = max(worst_wr, abs(b.t - b.t_t),
                        abs(b.r * np.conj(b.t) + np.conj(b.r_t) * b.t))
     ok = worst_eq <= 1e-6 and worst_wr <= 1e-12
@@ -189,7 +189,8 @@ def test_criterion_08_variational_vs_weak_value_ionization():
     for field in fields:
         params = derive_params(HELIUM_IP, field)
         stein.append(larmor.plateau_time(params).real)
-        vari.append(variational.larmor_time_variational(params))
+        vari.append(variational.larmor_time_variational(
+            params, variational.find_resonance(params)))
     stein, vari = np.array(stein), np.array(vari)
     rel = np.abs(vari - stein) / stein
     ok = (np.all(stein > 0.0) and np.all(vari > 0.0)

@@ -404,6 +404,23 @@ def test_larmor_plateau_from_its_own_trace(tmp_path, monkeypatch):
     assert side["plateau_re_tau"] == float(read_csv(out)[-1][1])
 
 
+@pytest.mark.parametrize("scenario, solver", [
+    ("variational", "find_resonance"),
+    ("scattering_demo", "square_barrier"),
+    ("validate", "square_barrier")])
+def test_each_scenario_solves_its_problem_once(tmp_path, monkeypatch,
+                                               scenario, solver):
+    """The resonance and the square barrier are solved once a run and
+    handed to the time and the checks that read them."""
+    from tunnelclock import variational
+    calls = []
+    solve = getattr(variational, solver)
+    monkeypatch.setattr(variational, solver,
+                        lambda *args: calls.append(args) or solve(*args))
+    assert run_cli([scenario, "--out", str(tmp_path / "s.csv")]) == 0
+    assert len(calls) == 1
+
+
 def test_failed_write_leaves_existing_outputs(tmp_path, monkeypatch):
     out, side = tmp_path / "out.csv", tmp_path / "out.json"
     out.write_text("old csv\n")

@@ -70,9 +70,11 @@ def test_matching_solution_reproduces_continuity():
 
 def test_variational_time_positive_and_stable():
     """Positive, and the same number again from a fresh resonance search."""
-    tau = variational.larmor_time_variational(PARAMS)
+    tau = variational.larmor_time_variational(
+        PARAMS, variational.find_resonance(PARAMS))
     assert tau > 0.0
-    assert variational.larmor_time_variational(PARAMS) == tau
+    assert variational.larmor_time_variational(
+        PARAMS, variational.find_resonance(PARAMS)) == tau
 
 
 @pytest.mark.parametrize("kappa", [2.0, 4.0, 8.0])
@@ -99,7 +101,7 @@ def test_resonance_and_time_against_mpmath(kappa):
         tau = float(oracles.lsq_phase_time_by_mpmath(mpmath, params, energy))
     width = -2.0 * float(energy.imag)
     assert abs(res.width - width) <= 1e-12 * width
-    assert abs(variational.larmor_time_variational(params) - tau) \
+    assert abs(variational.larmor_time_variational(params, res) - tau) \
         <= 1e-10 * tau
 
 
@@ -129,15 +131,19 @@ def test_exact_newton_slope_ends_on_a_decaying_energy(kappa):
 @pytest.mark.parametrize("kappa", [50.0, 60.0])
 def test_variational_time_rank_deficient_raises(kappa):
     """Singular-value ratio 1.0e-15 at kappa 50 and 1.2e-18 at 60."""
+    params = params_from_kappa(HELIUM_IP, kappa)
+    res = variational.find_resonance(params)
     with pytest.raises(NonConvergenceError, match="rank-deficient"):
-        variational.larmor_time_variational(params_from_kappa(HELIUM_IP, kappa))
+        variational.larmor_time_variational(params, res)
 
 
 def test_variational_time_refused_on_rank_deficient_matching_system():
     """At kappa 52.75 the matching system at the resonance has sv ratio
     1.6e-16 (a finite-difference tau read -173,838 there)."""
+    params = params_from_kappa(HELIUM_IP, 52.75)
+    res = variational.find_resonance(params)
     with pytest.raises(NonConvergenceError, match="rank-deficient"):
-        variational.larmor_time_variational(params_from_kappa(HELIUM_IP, 52.75))
+        variational.larmor_time_variational(params, res)
 
 
 def test_square_barrier_unitarity_and_wronskians():
@@ -159,7 +165,8 @@ def test_square_barrier_wavefunctions_satisfy_matching():
 
 
 def test_weak_equals_variational_time():
-    tau_weak, tau_var = variational.scattering_equivalence(1.0, 1.0, 0.8)
+    tau_weak, tau_var = variational.scattering_equivalence(
+        variational.square_barrier(1.0, 1.0, 0.8))
     assert tau_weak.real == pytest.approx(tau_var, rel=1e-6)
 
 
@@ -167,15 +174,14 @@ def test_square_barrier_envelope():
     """Inside q a <= 177 the weak time holds; outside it is DomainError."""
     k = 0.8
     q = math.sqrt(2.0 - k * k)
-    tau_weak, tau_var = variational.scattering_equivalence(1.0, 176.9 / q, k)
+    tau_weak, tau_var = variational.scattering_equivalence(
+        variational.square_barrier(1.0, 176.9 / q, k))
     assert tau_weak.real == pytest.approx(tau_var, rel=1e-6)
     # q a = 210 and 466: past 177 e^{-4qa} leaves the normal double range and
     # the weak time is lost; past ~355 sinh(2qa) overflows.
     for halfwidth in (math.nan, math.inf, 0.0, -1.0, 180.0, 400.0):
         with pytest.raises(DomainError):
             variational.square_barrier(1.0, halfwidth, k)
-        with pytest.raises(DomainError):
-            variational.scattering_equivalence(1.0, halfwidth, k)
 
 
 def _phase_time_by_mpmath(mpmath, height, halfwidth, k):
@@ -210,10 +216,10 @@ def test_variational_time_is_the_exact_phase_derivative(height, halfwidth, k):
     time takes no second barrier, so q a = 176.99 and 177 return).  The
     closed-form T is the linear solve's T to 1e-13."""
     mpmath = pytest.importorskip("mpmath")
-    tau_weak, tau_var = variational.scattering_equivalence(height, halfwidth, k)
+    barrier = variational.square_barrier(height, halfwidth, k)
+    tau_weak, tau_var = variational.scattering_equivalence(barrier)
     exact, t_exact = _phase_time_by_mpmath(mpmath, height, halfwidth, k)
-    assert abs(variational.square_barrier(height, halfwidth, k).t - t_exact) \
-        <= 1e-13 * abs(t_exact)
+    assert abs(barrier.t - t_exact) <= 1e-13 * abs(t_exact)
     assert abs(tau_var - exact) <= 1e-13 * abs(exact)
     assert abs(tau_weak.real - tau_var) <= 1e-13 * abs(tau_var)
 
@@ -224,7 +230,8 @@ def test_hartman_saturation():
     q = math.sqrt(2.0 * v0 - k * k)
     times = []
     for a in (2.0, 4.0, 8.0):
-        _, tau_var = variational.scattering_equivalence(v0, a, k)
+        _, tau_var = variational.scattering_equivalence(
+            variational.square_barrier(v0, a, k))
         times.append(tau_var)
     saturated = k / (q * v0)
     assert times[-1] == pytest.approx(saturated, rel=1e-2)
@@ -252,5 +259,5 @@ def test_weak_overlap_closed_form_matches_adaptive_reference(height,
 
     ref = oscquad.integrate_finite(overlap_density, -halfwidth, halfwidth,
                                    tol=1e-14, rel_tol=1e-12).value / (k * sb.t)
-    tau_weak, _ = variational.scattering_equivalence(height, halfwidth, k)
+    tau_weak, _ = variational.scattering_equivalence(sb)
     assert abs(tau_weak - ref) <= 1e-12 * abs(ref)
