@@ -13,17 +13,30 @@ Measured against 30-digit mpmath on x = 0, +-logspace(-3, log10 30), linspace
 relative for x >= 0 (4.4e-16 past 9.5, where no e^zeta is rounded); for x < 0
 within 2.1e-16 of the envelope max(|Ai|, |Bi|, |x|^-1/4 / sqrt(pi)) out to
 -9.5, then within eps zeta of it, the rounding of the phase zeta: 1.9e-14 out
-to x = -30, 3.4e-11 at -1e4.
+to x = -30, 3.4e-11 at -1e4.  Ai' and Bi', for complex `airy`, come from
+the same regions (the Taylor rows differentiated; DLMF 9.7.6, 9.7.8, 9.7.10
+and 9.7.12) and measure the same on that grid, with |x|^{1/4} / sqrt(pi) in
+the envelope: 3.6e-15, 4.4e-16 past 9.5, and 2.5e-16 for -9.5 < x < 0.
 
-Complex `airy` delegates to the AMOS implementation behind scipy.special.airy,
-uniformly accurate in all Stokes sectors; scipy.special is imported on its
-first call, not with this module, so a process that evaluates only real Airy
-never loads scipy.  The Maclaurin series (_airy_series) is kept as an
-in-house check of the backend for small |z|.  The tests take 30-digit
-mpmath.airyai/airybi as the reference for both: on the circle |z| =
-SERIES_RADIUS, |arg z| >= pi/3, the series is within 7.9e-11 of mpmath
-relative to max(|Ai|, |Bi|).  Near the positive real axis it loses
-e^{2 Re zeta} to cancellation.
+Complex `airy` on the near-real strip |Im z| <= 1, -10 <= Re z <= 16 sums the
+Taylor series in i Im z about x = Re z, from Ai, Ai', Bi and Bi' at x from the
+kernel and y^(n+2) = x y^(n) + n y^(n-1), on values scaled by e^{+-zeta(x)}
+past |x| = 9.5; it stops at the first term below rounding (5-12 terms for
+the resonance at kappa 2-8, 2 from kappa 30, 23 at 1.3 + 0.7i, at most 35 at
+the corners).  The strip holds every complex argument the scenarios pass:
+the resonance's s = -E/beta ~ kappa^{2/3} (15.3 at kappa = 60 at helium Ip)
+and s + x0/ell ~ 0, with Im s from 0.19 at kappa 1 to 3e-34 at kappa 60, and
+`validate`'s 1.3 + 0.7i.  Against 30-digit mpmath on the tests' grid, Ai
+and Bi are within 9.3e-16 of max(|Ai|, |Bi|) (Ai' and Bi' of max(|Ai'|,
+|Bi'|)) for |Re z| < 9.5, and past it within 0.73 eps zeta(|Re z|), the
+rounding of e^{-+zeta}: 5.1e-15 at Re z = 14.75.  Off the strip `airy` calls
+the AMOS implementation behind scipy.special.airy, uniformly accurate in all
+Stokes sectors (2.2e-13 of max(|Ai|, |Bi|) at -10 + i); scipy.special is
+imported on that first call, not with this module, so no scenario loads
+scipy.  The Maclaurin series (_airy_series) is kept as an in-house check of
+AMOS for small |z|: on the circle |z| = SERIES_RADIUS, |arg z| >= pi/3, it
+is within 7.9e-11 of 30-digit mpmath relative to max(|Ai|, |Bi|).  Near the
+positive real axis it loses e^{2 Re zeta} to cancellation.
 
 Gi is needed for real argument only.  It is one fixed rule for the
 Scorer integral pi Hi(w) = integral_0^inf exp(-t^3/3 + w t) dt, Re w <= 0
@@ -53,6 +66,14 @@ SERIES_RADIUS = 8.0
 # Validity envelopes.
 AIRY_MAX_ABS = 1.0e4
 GI_MAX_ABS = 1.0e3
+
+# The near-real strip |Im z| <= STRIP_IM, STRIP_RE[0] <= Re z <= STRIP_RE[1]
+# on which complex `airy` sums its Taylor series in i Im z (module docstring);
+# the series needs at most 35 of its _STRIP_TERMS terms there.
+STRIP_IM = 1.0
+STRIP_RE = (-10.0, 16.0)
+_STRIP_TERMS = 60
+_EPS = 2.0 ** -53  # unit roundoff
 
 _AI0 = 0.3550280538878172392600631860041831763980  # Ai(0) = 3^(-2/3)/Gamma(2/3)
 _AIP0 = -0.2588194037928067984051835601892039634793  # Ai'(0) = -3^(-1/3)/Gamma(1/3)
@@ -105,18 +126,24 @@ _ANCHORS = np.array([
 ])
 _TAYLOR_REACH = 9.5
 _TAYLOR_TERMS = 24
-# Taylor coefficients of [Ai, Bi] about each anchor a, shape (terms, 2,
-# anchors): c_0 = y(a), c_1 = y'(a), (n + 2)(n + 1) c_{n+2} = a c_n + c_{n-1}.
-_TAYLOR = np.zeros((_TAYLOR_TERMS, 2, _ANCHORS.shape[0]))
-_TAYLOR[0], _TAYLOR[1] = _ANCHORS[:, 0::2].T, _ANCHORS[:, 1::2].T
+# Taylor coefficients of [Ai, Bi, Ai', Bi'] about each anchor a, shape
+# (terms, 4, anchors): c_0 = y(a), c_1 = y'(a), (n + 2)(n + 1) c_{n+2} =
+# a c_n + c_{n-1}; the derivative rows hold (n + 1) c_{n+1} and a zero last term.
+_TAYLOR = np.zeros((_TAYLOR_TERMS, 4, _ANCHORS.shape[0]))
+_TAYLOR[0, :2], _TAYLOR[1, :2] = _ANCHORS[:, 0::2].T, _ANCHORS[:, 1::2].T
 for _n in range(_TAYLOR_TERMS - 2):
-    _TAYLOR[_n + 2] = (np.arange(-9.0, 10.0) * _TAYLOR[_n]
-                       + (_TAYLOR[_n - 1] if _n else 0.0)) / ((_n + 2) * (_n + 1))
+    _TAYLOR[_n + 2, :2] = (np.arange(-9.0, 10.0) * _TAYLOR[_n, :2]
+                           + (_TAYLOR[_n - 1, :2] if _n else 0.0)) \
+        / ((_n + 2) * (_n + 1))
+_TAYLOR[:-1, 2:] = _TAYLOR[1:, :2] * np.arange(1.0, _TAYLOR_TERMS)[:, None, None]
 
-# u_k of DLMF 9.7.2, split by parity; 28 terms reach 1e-17 at zeta(9.5) = 19.5.
+# u_k of DLMF 9.7.2 and v_k = -(6k + 1)/(6k - 1) u_k of 9.7.6, split by
+# parity; 28 terms reach 1e-17 at zeta(9.5) = 19.5.
 _U = np.cumprod([1.0] + [(6 * k - 5) * (6 * k - 3) * (6 * k - 1)
                          / (216.0 * k * (2 * k - 1)) for k in range(1, 28)])
-_U_PAIRS = _U.reshape(-1, 2, 1)  # [u_2k, u_2k+1]
+_V = -(6.0 * np.arange(28) + 1.0) / (6.0 * np.arange(28) - 1.0) * _U
+_UV_PAIRS = np.concatenate([_U.reshape(-1, 2), _V.reshape(-1, 2)],
+                           axis=1)[..., None]  # [u_2k, u_2k+1, v_2k, v_2k+1]
 
 
 @dataclass(frozen=True)
@@ -171,11 +198,14 @@ def _airy_series(z: complex) -> AiryBundle:
 
 
 def airy(z: complex) -> AiryBundle:
-    """Ai, Bi, Ai', Bi' at complex z, |z| <= 1e4; DomainError where they
+    """Ai, Bi, Ai', Bi' at complex z, |z| <= 1e4: on the strip from the real
+    kernel, else from AMOS (module docstring); DomainError where they
     overflow (Bi past z = 103.2 on the positive axis, Ai on arg z = +-2pi/3)."""
     z = complex(z)
     if not abs(z) <= AIRY_MAX_ABS:
         raise DomainError(f"z = {z} must be finite and inside |z| <= {AIRY_MAX_ABS:g}")
+    if abs(z.imag) <= STRIP_IM and STRIP_RE[0] <= z.real <= STRIP_RE[1]:
+        return _strip(z)
     import scipy.special
 
     ai, aip, bi, bip = scipy.special.airy(z)
@@ -185,6 +215,31 @@ def airy(z: complex) -> AiryBundle:
     if not all(cmath.isfinite(v) for v in vals):
         raise DomainError(f"Airy overflow at z = {z}")
     return bundle
+
+
+def _strip(z: complex) -> AiryBundle:
+    """Airy on the strip: the Taylor series in i Im z about x = Re z of Ai,
+    Bi, Ai' and Bi' from the kernel (scaled by e^{+-zeta(x)} past 9.5), with
+    y^(n+2) = x y^(n) + n y^(n-1); it stops at the first term below the
+    rounding of the values at x."""
+    x = z.real
+    (a, b, a1, b1), zeta = _kernel_point(x)  # y^(n) and y^(n+1) of Ai and Bi
+    tol = _EPS * (abs(a) + abs(b) + abs(a1) + abs(b1))
+    a0 = b0 = 0.0  # y^(n-1)
+    term, step = 1.0 + 0j, 1j * z.imag  # (i Im z)^n / n!
+    ai = bi = aip = bip = 0j
+    for n in range(_STRIP_TERMS):
+        ai += term * a
+        bi += term * b
+        aip += term * a1
+        bip += term * b1
+        if abs(term) * (abs(a) + abs(b) + abs(a1) + abs(b1)) <= tol:
+            break
+        a0, a, a1 = a, a1, x * a + n * a0
+        b0, b, b1 = b, b1, x * b + n * b0
+        term *= step / (n + 1)
+    down, up = math.exp(-zeta), math.exp(zeta)
+    return AiryBundle(ai=ai * down, ai_prime=aip * down, bi=bi * up, bi_prime=bip * up)
 
 
 # pi Hi(w) = integral_0^inf exp(-t^3/3 + w t) dt for Re w <= 0, taken on
@@ -247,7 +302,7 @@ def _taylor(x: np.ndarray) -> np.ndarray:
     """[Ai, Bi](x) for |x| < 9.5: Horner in h = x - a, a the nearest anchor."""
     anchor = np.rint(x)
     h = x - anchor
-    coef = np.take(_TAYLOR, anchor.astype(np.intp) + 9, axis=2)
+    coef = np.take(_TAYLOR[:, :2], anchor.astype(np.intp) + 9, axis=2)
     y = coef[-1].copy()
     for c in coef[-2::-1]:
         y *= h
@@ -255,26 +310,49 @@ def _taylor(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _asymptotic(x: np.ndarray) -> np.ndarray:
-    """[Ai e^zeta, Bi e^-zeta](x) for |x| >= 9.5 (zeta = 0 for x < 0), in
-    z = (2/3)|x|^{3/2}: DLMF 9.7.5 and 9.7.7 for x > 0; 9.7.9 and 9.7.11 in
-    cos and sin of z - pi/4 for x < 0."""
+def _kernel_point(x: float) -> tuple[list[float], float]:
+    """[Ai, Bi, Ai', Bi'](x) times [e^s, e^-s, e^s, e^-s], and s, at one real
+    x: for |x| < 9.5 the Taylor rows with s = 0, by Horner on floats (the same
+    operations as _taylor, at a sixth of its cost on one point); past that
+    _asymptotic with s = zeta."""
+    if abs(x) >= _TAYLOR_REACH:
+        zeta = (2.0 / 3.0) * max(x, 0.0) ** 1.5
+        return _asymptotic(np.array([x]), 4)[:, 0].tolist(), zeta
+    anchor = round(x)
+    h = x - anchor
+    a = b = ap = bp = 0.0
+    for c0, c1, c2, c3 in _TAYLOR[::-1, :, anchor + 9].tolist():
+        a, b, ap, bp = a * h + c0, b * h + c1, ap * h + c2, bp * h + c3
+    return [a, b, ap, bp], 0.0
+
+
+def _asymptotic(x: np.ndarray, rows: int = 2) -> np.ndarray:
+    """[Ai e^zeta, Bi e^-zeta, Ai' e^zeta, Bi' e^-zeta][:rows](x) for |x| >=
+    9.5 (zeta = 0 for x < 0), in z = (2/3)|x|^{3/2}: DLMF 9.7.5-9.7.8 for
+    x > 0; 9.7.9-9.7.12 in cos and sin of z - pi/4 for x < 0."""
     r = np.abs(x)
     z = (2.0 / 3.0) * r ** 1.5
     t = 1.0 / z
     w = np.copysign(t * t, x)  # the sums alternate in zeta^-2 for x < 0
-    sums = np.empty((2, x.size))
-    sums[:] = _U_PAIRS[-1]
-    for pair in _U_PAIRS[-2::-1]:
+    sums = np.empty((rows, x.size))
+    sums[:] = _UV_PAIRS[-1, :rows]
+    for pair in _UV_PAIRS[-2::-1, :rows]:
         sums *= w
         sums += pair
-    even, odd = sums[0], sums[1] * t
+    # even, odd: [u sums] and, for rows = 4, [u sums, v sums]
+    even, odd = sums[0::2], sums[1::2] * t
     q = r ** -0.25 / math.sqrt(math.pi)
-    y = np.stack([0.5 * (even - odd), even + odd]) * q
+    y = np.stack([0.5 * (even - odd), even + odd]) * q  # (Ai, Bi) x (u, v)
     neg = x < 0.0
     if neg.any():
         cos, sin = np.cos(z[neg]), np.sin(z[neg])
         cos_p, sin_p = (cos + sin) * _SQRT_HALF, (sin - cos) * _SQRT_HALF  # of z - pi/4
-        even, odd = even[neg] * q[neg], odd[neg] * q[neg]
-        y[:, neg] = cos_p * even + sin_p * odd, cos_p * odd - sin_p * even
-    return y
+        even, odd = even[:, neg] * q[neg], odd[:, neg] * q[neg]
+        y[:, :, neg] = cos_p * even + sin_p * odd, cos_p * odd - sin_p * even
+    if rows == 2:
+        return y[:, 0]
+    # Ai' and Bi' from the v sums, times |x|^{1/2}: -Ai and Bi forms for x > 0,
+    # -Bi and Ai forms for x < 0
+    d = y[:, 1] * np.sqrt(r)
+    d[:, neg] = d[::-1, neg]
+    return np.concatenate([y[:, 0], d * [[-1.0], [1.0]]])

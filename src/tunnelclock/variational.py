@@ -110,12 +110,13 @@ def find_resonance(params: ModelParams) -> Resonance:
     energy -ip converges to the decaying resonance: at most 80 steps, until
     the Newton step is below 1e-13 |E|.  The slope is exact, so each trial
     point costs one Airy evaluation: 3-5 per resonance at ip = HELIUM_IP,
-    kappa 1-60.  Against a 40-digit mpmath root of det[M | rhs], Re E is
-    within 2.9e-14 relative and the width within 4.1e-14, 3.1e-14, 1.7e-14,
-    1.4e-14, 3.9e-14 and 2.9e-14 at kappa 2, 4, 10, 20, 25 and 30.  From
-    kappa = 32.75 at ip = HELIUM_IP the width is 2.0 times the mpmath width:
-    Im E is below the rounding of Re E, and scipy's Im Bi at the near-real
-    s = -E/beta >= 10.24 is 0.8 % off.
+    kappa 1-60.  E's imaginary part is its own double, so the width resolves
+    below the rounding of Re E (Im E / Re E is 1.8e-35 at kappa 60), given
+    Airy values exact in Im at the near-real s: specfun.airy's strip series.
+    Against a 50-digit mpmath root of det[M | rhs] at ip = HELIUM_IP, Re E is
+    within 8.6e-16 relative and the width within 5.2e-16, 2.1e-15, 4.0e-15
+    and 2.9e-14 at kappa 2, 4, 10 and 20, and within 6.3e-14 at kappa 25,
+    30, 32.75, 35, 40, 50 and 60.
     """
     if params.kappa < 1.0:
         raise DomainError("resonance search requires kappa >= 1")

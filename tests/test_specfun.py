@@ -123,11 +123,63 @@ def test_crossover_continuity_away_from_positive_axis():
 
 
 def test_ai_real_vectorized_matches_scalar():
-    """The real kernel agrees with complex `airy` (AMOS) on the real axis."""
+    """The real kernel agrees with AMOS (scipy.special.airy) on the real axis;
+    complex `airy` takes the kernel itself there, so it is no cross-check."""
+    scipy_special = pytest.importorskip("scipy.special")
     xs = np.linspace(-12.0, 4.0, 37)
     vec = specfun.ai_real(xs)
     for x, v in zip(xs, vec):
-        assert v == pytest.approx(specfun.airy(x).ai.real, rel=1e-13, abs=1e-300)
+        assert v == pytest.approx(scipy_special.airy(x)[0], rel=1e-13, abs=1e-300)
+
+
+def _strip_errors(got, ref):
+    """Errors of (Ai, Bi) relative to max(|Ai|, |Bi|) and of (Ai', Bi')
+    relative to max(|Ai'|, |Bi'|)."""
+    got = [got.ai, got.bi, got.ai_prime, got.bi_prime]
+    return [max(abs(got[i] - ref[i]), abs(got[i + 1] - ref[i + 1]))
+            / max(abs(ref[i]), abs(ref[i + 1])) for i in (0, 2)]
+
+
+def test_strip_against_mpmath_on_committed_grid():
+    """On the strip `airy` is within the kernel's stated error plus 1e-15 of
+    30-digit mpmath: 3.6e-15 + 1e-15 for |Re z| < 9.5, and past it the
+    rounding of zeta, 1.5 eps zeta(|Re z|) + 1e-15 (unscaled Ai and Bi carry
+    e^{-+zeta} rounded).  Measured: 9.3e-16 for |Re z| < 9.5, and past it
+    0.73 eps zeta (5.1e-15 at 14.75 - i, 3.0e-15 at -9.5)."""
+    mpmath = pytest.importorskip("mpmath")
+    lo, hi = specfun.STRIP_RE
+    xs = np.concatenate([np.arange(lo, hi + 0.1, 0.75),
+                         [hi, -9.5, 9.499999999999998, -9.499999999999998]])
+    ys = [0.0, 1e-15, -1e-6, 0.07, -0.19, 0.7, -specfun.STRIP_IM, specfun.STRIP_IM]
+    eps = np.finfo(float).eps
+    with mpmath.workdps(30):
+        for x in xs:
+            zeta = 2.0 / 3.0 * abs(x) ** 1.5
+            bound = (3.6e-15 if abs(x) < 9.5 else 1.5 * eps * zeta) + 1e-15
+            for y in ys:
+                z = complex(x, y)
+                ref = [complex(f) for f in (mpmath.airyai(z), mpmath.airybi(z),
+                                            mpmath.airyai(z, 1), mpmath.airybi(z, 1))]
+                assert max(_strip_errors(specfun.airy(z), ref)) <= bound, z
+
+
+def test_strip_edge_continuity():
+    """1e-9 inside and outside each edge of the strip (AMOS outside), the
+    inner bundle carried across by one Taylor step agrees with the outer one
+    to 2e-13: AMOS itself is 2.2e-13 off mpmath at -10 + i (measured 7.2e-14
+    there, 7.3e-15 at the Re z = 16 edge)."""
+    lo, hi = specfun.STRIP_RE
+    im = specfun.STRIP_IM
+    points = [(complex(x, y), complex(math.copysign(1.0, x - 1.0), 0.0))
+              for x in (lo, hi) for y in (-im, -0.5, -1e-3, 0.0, 1e-12, 0.3, im)]
+    points += [(complex(x, s * im), complex(0.0, s)) for x in (-7.0, 0.0, 1.3, 9.5, 12.0)
+               for s in (1.0, -1.0)]
+    for edge, normal in points:
+        inner, outer = edge - 1e-9 * normal, edge + 1e-9 * normal
+        a, d = specfun.airy(inner), outer - inner
+        carried = [a.ai + a.ai_prime * d, a.bi + a.bi_prime * d,
+                   a.ai_prime + inner * a.ai * d, a.bi_prime + inner * a.bi * d]
+        assert max(_strip_errors(specfun.airy(outer), carried)) <= 2e-13, edge
 
 
 def test_taylor_anchors_are_30_digit_values_to_one_ulp():

@@ -105,15 +105,18 @@ def test_resonance_and_time_against_mpmath(kappa):
         <= 1e-10 * tau
 
 
-@pytest.mark.parametrize("kappa", [25.0, 30.0])
+@pytest.mark.parametrize("kappa", [25.0, 30.0, 32.75, 35.0, 40.0, 50.0, 60.0])
 def test_width_against_mpmath_at_large_kappa(kappa):
-    """The width within 1e-13 relative of the 40-digit root of det[M | rhs]
-    (measured 3.9e-14 at kappa 25 and 2.9e-14 at 30); tau is not checked
-    here, it is 6.2e-10 and 1.7e-10 off."""
+    """The width within 1e-13 relative of the 50-digit root of det[M | rhs]
+    (measured 2.7e-14, 2.1e-14, 4.2e-14, 6.3e-14, 3.1e-14, 1.4e-14 and
+    3.1e-14 at these kappa).  Im E / Re E falls to 1.8e-35 at kappa 60, and
+    at 40 digits findroot stops at the start point from kappa 40 on.  The
+    resonance is found directly: `variational` exits 3 on rank at 50 and 60.
+    tau is not checked here, it is 6.2e-10 and 1.7e-10 off at 25 and 30."""
     mpmath = pytest.importorskip("mpmath")
     params = params_from_kappa(HELIUM_IP, kappa)
     res = variational.find_resonance(params)
-    with mpmath.workdps(40):
+    with mpmath.workdps(50):
         energy = oracles.resonance_by_mpmath(mpmath, params, res.energy)
     width = -2.0 * float(energy.imag)
     assert abs(res.width - width) <= 1e-13 * width
